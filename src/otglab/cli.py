@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .coloring import Coloring, chromatic_number, verify_coloring
 from .decompose import CoverWitness, decomposition_report, orderly_cover, verify_cover
@@ -167,23 +168,41 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+@contextmanager
+def _schema(kind: str):
+    """Report a document that parses as JSON but not as a `kind` as a usage error."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} document: {type(exc).__name__}: {exc}") from None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.file) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("unrecognized document: expected a JSON object")
     if "images" in doc:
-        emb = EmbeddingMap.from_json(doc)
-        ok = verify_embedding(emb)
         kind = "embedding"
+        with _schema(kind):
+            emb = EmbeddingMap.from_json(doc)
+        ok = verify_embedding(emb)
     elif "cover" in doc and "a" in doc and "b" in doc:
-        w = CoverWitness.from_json(doc["cover"])
-        ok = verify_cover(tuple(doc["a"]), tuple(doc["b"]), w)
         kind = "cover"
+        with _schema(kind):
+            w = CoverWitness.from_json(doc["cover"])
+            a, b = tuple(doc["a"]), tuple(doc["b"])
+        if not all(isinstance(v, int) for v in a + b):
+            raise ValueError("malformed cover document: a and b must hold integers")
+        ok = verify_cover(a, b, w)
     elif "graph" in doc and "coloring" in doc:
-        g = graph_from_json(doc["graph"])
+        kind = "coloring"
+        with _schema(kind):
+            g = graph_from_json(doc["graph"])
+            col = Coloring.from_json(doc["coloring"])
         if isinstance(g, FiniteDigraph):
             raise ValueError("colorings verify against undirected graphs")
-        ok = verify_coloring(g, Coloring.from_json(doc["coloring"]))
-        kind = "coloring"
+        ok = verify_coloring(g, col)
     else:
         raise ValueError("unrecognized document: expected an embedding, cover, or coloring")
     print(_dump({"kind": kind, "ok": ok}))

@@ -93,116 +93,147 @@ class ChiResult:
         return doc
 
 
-def _dsatur_greedy(adj: list[int], deg: list[int], n: int) -> list[int]:
-    colors = [-1] * n
-    nbr_mask = [0] * n
-    for _ in range(n):
-        best = -1
-        best_key = None
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            key = (bin(nbr_mask[v]).count("1"), deg[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        c = 0
-        while nbr_mask[best] >> c & 1:
-            c += 1
-        colors[best] = c
-        bit = 1 << c
-        w_mask = adj[best]
-        w = 0
-        while w_mask:
-            if w_mask & 1:
-                nbr_mask[w] |= bit
-            w_mask >>= 1
-            w += 1
-    return colors
+def _odd_cycle(nbrs: list[list[int]]) -> bool:
+    """True iff breadth-first 2-coloring fails somewhere, i.e. the graph is not bipartite."""
+    side = [-1] * len(nbrs)
+    for root in range(len(nbrs)):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in nbrs[v]:
+                    if side[w] < 0:
+                        side[w] = side[v] ^ 1
+                        nxt.append(w)
+                    elif side[w] == side[v]:
+                        return True
+            frontier = nxt
+    return False
 
 
 class _BudgetHit(Exception):
     pass
 
 
-def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
-    """Exact chromatic number by branch and bound.
+def _dsatur_search(
+    nbrs: list[list[int]], k: int, nodes: int = 0, budget: int | None = None
+) -> tuple[list[int] | None, int]:
+    """Depth-first search for a proper coloring with at most k colors.
 
-    Upper bound from a saturation-greedy coloring, lower bound from a greedy
-    maximal clique, branching on the uncolored vertex of maximal saturation
-    (ties: higher degree, then lower index), trying existing colors in
-    ascending order plus at most one fresh color. budget caps the number of
-    decision nodes; exhausting it yields an inconclusive result with bounds.
+    Vertices are numbered by rank (decreasing degree, then index), so the
+    branching vertex, of maximal saturation with ties to the lowest rank, is
+    the lowest set bit of the highest non-empty saturation level. Colors are
+    tried in ascending order, at most one of them fresh. Returns the colors
+    by rank, or None when no k-coloring exists, with the running node count
+    (one per decision, the root included); raises _BudgetHit past budget.
+    With k = n the first leaf is the DSatur greedy coloring.
+    """
+    n = len(nbrs)
+    colors = [-1] * n
+    seen = [0] * n  # colors on the colored neighbors, as a bitmask
+    sat = [0] * n  # number of bits in seen
+    level = [0] * (k + 1)  # level[s]: uncolored ranks of saturation s
+    level[0] = (1 << n) - 2  # rank 0 is branched on first
+    stack: list[tuple[int, int, int, list[int]]] = []
+    used = 0
+    v, c = 0, 0
+    nodes += 1
+    if budget is not None and nodes > budget:
+        raise _BudgetHit
+    while True:
+        limit = min(used + 1, k)
+        forbidden = seen[v]
+        while c < limit and forbidden >> c & 1:
+            c += 1
+        if c < limit:
+            colors[v] = c
+            bit = 1 << c
+            touched = []
+            for w in nbrs[v]:
+                if colors[w] < 0 and not seen[w] & bit:
+                    seen[w] |= bit
+                    s = sat[w]
+                    sat[w] = s + 1
+                    level[s] ^= 1 << w
+                    level[s + 1] |= 1 << w
+                    touched.append(w)
+            stack.append((v, c, used, touched))
+            if c == used:
+                used += 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise _BudgetHit
+            if len(stack) == n:
+                return colors, nodes
+            s = used
+            while not level[s]:
+                s -= 1
+            low = level[s] & -level[s]
+            level[s] ^= low
+            v, c = low.bit_length() - 1, 0
+            continue
+        level[sat[v]] |= 1 << v
+        if not stack:
+            return None, nodes
+        v, c, used, touched = stack.pop()
+        colors[v] = -1
+        bit = 1 << c
+        for w in touched:
+            seen[w] ^= bit
+            s = sat[w]
+            sat[w] = s - 1
+            level[s] ^= 1 << w
+            level[s - 1] |= 1 << w
+        c += 1
+
+
+def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
+    """Exact chromatic number by bounds and repeated coloring searches.
+
+    Upper bound from the DSatur greedy coloring; lower bound from a greedy
+    maximal clique, raised to 3 when the graph has an odd cycle. While the
+    bounds differ, a search for a coloring with one color fewer than the
+    upper bound runs from the root: one found lowers the upper bound to its
+    palette, none found makes the upper bound exact. The search branches on
+    the uncolored vertex of maximal saturation (ties: higher degree, then
+    lower index) and tries existing colors in ascending order plus at most
+    one fresh color. budget caps the decision nodes summed over all searches;
+    exhausting it yields an inconclusive result with bounds.
     """
     n = g.n
     if n == 0:
         raise ValueError("chromatic number undefined for the empty graph")
-    deg = [g.degree(v) for v in range(n)]
-    adj = [0] * n
-    for i, j in g.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    nbrs = [[rank[w] for w in g.neighbors(v)] for v in order]
 
-    greedy = _dsatur_greedy(adj, deg, n)
-    ub = max(greedy) + 1
-    best = list(greedy)
-    lb = max(1, len(greedy_clique(g)))
-
-    if lb >= ub:
-        return ChiResult(ub, ub, ub, Coloring(tuple(best), ub), 0)
-
-    colors = [-1] * n
-    nbr_mask = [0] * n
+    best, _ = _dsatur_search(nbrs, n)
+    ub = max(best) + 1
+    lb = len(greedy_clique(g))
+    if lb < 3 and _odd_cycle(nbrs):
+        lb = 3
     nodes = 0
-
-    def pick() -> int:
-        chosen = -1
-        chosen_key = None
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            key = (bin(nbr_mask[v]).count("1"), deg[v], -v)
-            if chosen_key is None or key > chosen_key:
-                chosen, chosen_key = v, key
-        return chosen
-
-    def rec(colored: int, used: int) -> None:
-        nonlocal nodes, ub, best
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetHit
-        if colored == n:
-            ub = used
-            best = colors[:]
-            return
-        v = pick()
-        limit = min(used + 1, ub - 1)
-        forbidden = nbr_mask[v]
-        for c in range(limit):
-            if forbidden >> c & 1:
-                continue
-            colors[v] = c
-            bit = 1 << c
-            touched = []
-            w_mask = adj[v]
-            w = 0
-            while w_mask:
-                if w_mask & 1 and not nbr_mask[w] >> c & 1:
-                    nbr_mask[w] |= bit
-                    touched.append(w)
-                w_mask >>= 1
-                w += 1
-            rec(colored + 1, max(used, c + 1))
-            for w in touched:
-                nbr_mask[w] ^= bit
-            colors[v] = -1
-            if ub <= lb:
-                return
-
     try:
-        rec(0, 0)
+        while lb < ub:
+            found, nodes = _dsatur_search(nbrs, ub - 1, nodes, budget)
+            if found is None:
+                break
+            best = found
+            ub = max(found) + 1
     except _BudgetHit:
-        return ChiResult(None, lb, ub, Coloring(tuple(best), ub), nodes)
-    return ChiResult(ub, ub, ub, Coloring(tuple(best), ub), nodes)
+        return ChiResult(None, lb, ub, _witness(best, rank, ub), budget + 1)
+    return ChiResult(ub, ub, ub, _witness(best, rank, ub), nodes)
+
+
+def _witness(by_rank: list[int], rank: list[int], palette: int) -> Coloring:
+    return Coloring(tuple(by_rank[r] for r in rank), palette)
 
 
 def sum_coloring(g: FiniteGraph, pieces: Sequence[tuple[Sequence[int], Coloring]]) -> Coloring:

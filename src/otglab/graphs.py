@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .seqs import OrderTypePattern, otp
+from .seqs import OrderTypePattern
 
 
 def _label_json(label):
@@ -218,16 +218,22 @@ def rshift_digraph(k: int, n: int) -> FiniteDigraph:
 
 
 def order_type_graph(pattern: OrderTypePattern, theta: int) -> FiniteGraph:
-    """Graph on increasing tuples over 0..theta-1: adjacency = realizing the pattern either way."""
+    """Graph on increasing tuples over 0..theta-1: adjacency = realizing the pattern either way.
+
+    With m ranks in the pattern, each m-subset s of 0..theta-1 realizes it on
+    exactly one ordered pair, u = s read at ranks_a and v = s read at ranks_b,
+    and every edge arises so from the set of its endpoints' values.
+    """
     if not pattern.irreflexive:
         raise ValueError("pattern not irreflexive (identical rank rows)")
     vertices = list(combinations(range(theta), pattern.length))
-    edges = []
-    for i, u in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            v = vertices[j]
-            if otp(u, v) == pattern or otp(v, u) == pattern:
-                edges.append((i, j))
+    index = {v: i for i, v in enumerate(vertices)}
+    ra, rb = pattern.ranks_a, pattern.ranks_b
+    m = max(ra[-1], rb[-1]) + 1
+    edges = [
+        (index[tuple(s[r] for r in ra)], index[tuple(s[r] for r in rb)])
+        for s in combinations(range(theta), m)
+    ]
     return FiniteGraph(vertices, edges)
 
 

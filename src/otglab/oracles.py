@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from .decompose import ConvexClass, exhaustive_k_orderly, generator_pairs, sign_partition
 from .graphs import FiniteGraph
+from .seqs import OrderTypePattern, otp
 
 
 def has_k_coloring(g: FiniteGraph, k: int) -> bool:
@@ -80,3 +82,17 @@ def exhaustive_min_k(a: Sequence[int], b: Sequence[int], kmax: int) -> int | Non
         if exhaustive_k_orderly(a, b, k) is not None:
             return k
     return None
+
+
+def order_type_graph_oracle(pattern: OrderTypePattern, theta: int) -> FiniteGraph:
+    """order_type_graph by testing the pattern on every pair of increasing tuples."""
+    if not pattern.irreflexive:
+        raise ValueError("pattern not irreflexive (identical rank rows)")
+    vertices = list(combinations(range(theta), pattern.length))
+    edges = []
+    for i, u in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            v = vertices[j]
+            if otp(u, v) == pattern or otp(v, u) == pattern:
+                edges.append((i, j))
+    return FiniteGraph(vertices, edges)

@@ -51,6 +51,12 @@ def test_chi_values():
     doc = json.loads(res.stdout)
     assert doc["chi"] == 3
     assert len(doc["witness"]) == 10
+    # greedy gives 3 colors and a 5-cycle forces 3: no search
+    assert doc["nodes_explored"] == 0
+    res = run_cli("chi", "--r", "2", "--n", "9")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["chi"] == 4
     assert doc["nodes_explored"] > 0
 
 
@@ -84,6 +90,16 @@ def test_chi_env_budget():
     )
     assert res2.returncode == 0
     assert json.loads(res2.stdout)["chi"] == 3
+
+
+def test_chi_negative_budget_is_usage_error():
+    for res in (
+        run_cli("chi", "--r", "2", "--n", "5", "--budget", "-3"),
+        run_cli("chi", "--r", "2", "--n", "5", env={"OTG_BUDGET": "-3"}),
+    ):
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
 
 
 def test_chi_missing_args():
@@ -214,6 +230,28 @@ def test_verify_unknown_document(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"what": 1}))
     assert run_cli("verify", str(path)).returncode == 2
+
+
+def test_verify_schema_errors_are_usage_errors(tmp_path):
+    emb = json.loads(run_cli("embed", "--a", "0,1", "--b", "1,2", "--N", "4").stdout)
+    graph = shift_graph(2, 4).to_json()
+    docs = [
+        [1, 2],
+        {"images": 5},
+        dict(emb, frame=5),
+        dict(emb, images=[{"values": 5}]),
+        {"cover": {}, "a": [0], "b": [1]},
+        {"cover": {"pieces": [], "k": 1}, "a": [[0]], "b": [1]},
+        {"graph": 5, "coloring": {"palette": 1, "colors": [0]}},
+        {"graph": graph, "coloring": {"colors": [0] * 6}},
+    ]
+    path = tmp_path / "doc.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        res = run_cli("verify", str(path))
+        assert res.returncode == 2, doc
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
 
 
 def test_verify_missing_file():

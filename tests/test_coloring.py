@@ -94,17 +94,56 @@ def test_chromatic_number_small_exacts():
     assert verify_coloring(shift_graph(2, 5), res.witness)
 
 
+def disjoint_union(*graphs):
+    vertices, edges, offset = [], [], 0
+    for g in graphs:
+        vertices += [offset + v for v in range(g.n)]
+        edges += [(offset + i, offset + j) for i, j in g.edges]
+        offset += g.n
+    return FiniteGraph(vertices, edges)
+
+
+def cycle(n):
+    return FiniteGraph(list(range(n)), [(i, (i + 1) % n) for i in range(n)])
+
+
 def test_chromatic_number_matches_brute_oracle():
     import random
 
     rnd = random.Random(23)
-    for _ in range(40):
-        g = random_graph(rnd)
+    connected = [random_graph(rnd) for _ in range(40)]
+    split = [
+        disjoint_union(*(random_graph(rnd, lo=1, hi=5) for _ in range(rnd.randrange(2, 4))))
+        for _ in range(40)
+    ]
+    for g in connected + split:
         res = chromatic_number(g)
         assert res.exact
         assert res.chi == brute_chromatic(g)
         assert verify_coloring(g, res.witness)
         assert not has_k_coloring(g, res.chi - 1)
+
+
+def test_odd_component_after_even_cycles_closes_by_bounds():
+    # at the lowest indices the branching order meets every bipartite
+    # component before the odd one; bounds alone must settle chi = 3
+    g = disjoint_union(*[cycle(6)] * 10, cycle(5))
+    res = chromatic_number(g, budget=200)
+    assert res.exact and res.chi == 3
+    assert verify_coloring(g, res.witness)
+
+
+def test_shift_graph_12_exact_within_budget():
+    g = shift_graph(2, 12)
+    res = chromatic_number(g, budget=5000)
+    assert res.exact and res.chi == 4
+    assert verify_coloring(g, res.witness)
+
+
+def test_chromatic_number_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        chromatic_number(shift_graph(2, 5), budget=-3)
+    assert chromatic_number(shift_graph(2, 5), budget=0).chi == 3
 
 
 def test_chromatic_number_budget_inconclusive():
@@ -250,7 +289,8 @@ def test_pattern_union_product_bound():
 
 
 def test_pattern_union_budget_inconclusive():
-    r = pattern_union_chromatic(2, 6, [otp((0, 1), (1, 2))], budget=1)
+    # the graph is Sh_2(9): greedy gives 4 = chi, but refuting 3 needs a search
+    r = pattern_union_chromatic(2, 9, [otp((0, 1), (1, 2))], budget=1)
     assert r.bound is None
     assert not r.exact_parts
 

@@ -21,6 +21,7 @@ from otglab import (
     verify_homomorphism,
     verify_strong_homomorphism,
 )
+from otglab.oracles import order_type_graph_oracle
 
 
 def test_shift_graph_counts():
@@ -137,6 +138,44 @@ def test_order_type_graph_separated_pattern_has_triangle():
 def test_order_type_graph_rejects_reflexive_pattern():
     with pytest.raises(ValueError):
         order_type_graph(otp((0, 1), (0, 1)), 4)
+
+
+# The pattern graphs of the benchmark's `solve` workload.
+SOLVE_PATTERNS = (
+    ((0, 1), (0, 2)),
+    ((0, 1), (1, 2)),
+    ((0, 1), (2, 3)),
+    ((0, 2), (1, 2)),
+    ((0, 2), (1, 3)),
+    ((0, 3), (1, 2)),
+    ((0, 1, 2), (1, 2, 3)),
+    ((0, 1, 4), (2, 3, 5)),
+    ((0, 2, 4), (1, 3, 5)),
+    ((0, 1, 2, 3), (1, 2, 3, 4)),
+    ((0, 2, 4, 6), (1, 3, 5, 7)),
+)
+
+
+def test_order_type_graph_matches_oracle_on_solve_patterns():
+    for a, b in SOLVE_PATTERNS:
+        p = otp(a, b)
+        assert order_type_graph(p, 9) == order_type_graph_oracle(p, 9), (a, b)
+
+
+def test_order_type_graph_matches_oracle_on_random_patterns():
+    import random
+
+    rnd = random.Random(31)
+    for _ in range(60):
+        length = rnd.randrange(1, 5)
+        values = range(2 * length)
+        while True:
+            a = sorted(rnd.sample(values, length))
+            b = sorted(rnd.sample(values, length))
+            if a != b:
+                break
+        p, theta = otp(a, b), rnd.randrange(1, 10)
+        assert order_type_graph(p, theta) == order_type_graph_oracle(p, theta), (a, b, theta)
 
 
 def test_verify_homomorphism_identity_and_constant():

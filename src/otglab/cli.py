@@ -97,8 +97,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_chi(args: argparse.Namespace) -> int:
     if args.input:
-        with open(args.input) as fh:
-            g = graph_from_json(json.load(fh))
+        doc = _load_object(args.input)
+        with _schema("graph"):
+            g = graph_from_json(doc)
         if isinstance(g, FiniteDigraph):
             raise ValueError("chromatic number needs an undirected graph")
     else:
@@ -152,7 +153,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    caps = SuiteCaps(args.max_len, args.value_bound, args.max_shift)
+    caps = SuiteCaps(args.max_len, args.value_bound)
     if args.sweep:
         doc = embedding_sweep(args.seed, args.count, caps)
         print(_dump(doc))
@@ -177,11 +178,16 @@ def _schema(kind: str):
         raise ValueError(f"malformed {kind} document: {type(exc).__name__}: {exc}") from None
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.file) as fh:
+def _load_object(path: str) -> dict:
+    with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("unrecognized document: expected a JSON object")
+    return doc
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    doc = _load_object(args.file)
     if "images" in doc:
         kind = "embedding"
         with _schema(kind):
@@ -261,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--sweep", action="store_true", help="embedding sweep instead of checks")
     suite.add_argument("--max-len", type=int, default=8)
     suite.add_argument("--value-bound", type=int, default=32)
-    suite.add_argument("--max-shift", type=int, default=5)
     suite.add_argument("--format", choices=("json", "table"), default="table")
     suite.set_defaults(func=cmd_suite)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -100,22 +101,12 @@ def convex_closure(a: Sequence[int], b: Sequence[int]) -> list[ConvexClass]:
     if tuple(a) == tuple(b):
         raise DecompositionError("pair must differ")
     n = len(a)
-    intervals = [[min(p), max(p)] for p in generator_pairs(a, b)]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(intervals)):
-            for j in range(i + 1, len(intervals)):
-                lo1, hi1 = intervals[i]
-                lo2, hi2 = intervals[j]
-                if lo1 <= hi2 and lo2 <= hi1:
-                    intervals[i] = [min(lo1, lo2), max(hi1, hi2)]
-                    del intervals[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    intervals.sort()
+    intervals: list[list[int]] = []
+    for lo, hi in sorted((min(p), max(p)) for p in generator_pairs(a, b)):
+        if intervals and lo <= intervals[-1][1]:
+            intervals[-1][1] = max(intervals[-1][1], hi)
+        else:
+            intervals.append([lo, hi])
     signs = sign_partition(a, b)
     classes = []
     pos = 0
@@ -191,6 +182,26 @@ class ClassAnalysis:
         }
 
 
+def shift_levels(lo_t: Sequence[int], hi_t: Sequence[int], blocks: Sequence[Block]) -> list[int] | None:
+    """Block index of each lo_t[i] when the blocks certify a one-step ladder, else None.
+
+    Certifying means every value of both tuples lies in exactly one block and
+    each hi_t[i] lies exactly one block above lo_t[i].
+    """
+
+    def home(x: int) -> int | None:
+        homes = [m for m, blk in enumerate(blocks) if blk.contains(x)]
+        return homes[0] if len(homes) == 1 else None
+
+    levels = []
+    for x, y in zip(lo_t, hi_t):
+        m = home(x)
+        if m is None or home(y) != m + 1:
+            return None
+        levels.append(m)
+    return levels
+
+
 def analyze_class(a: Sequence[int], b: Sequence[int], cls: ConvexClass) -> ClassAnalysis:
     """Compute the ladder indices, value blocks, and the witness chain of one class.
 
@@ -225,11 +236,8 @@ def analyze_class(a: Sequence[int], b: Sequence[int], cls: ConvexClass) -> Class
     top = max(max(a[i] for i in idx), max(b[i] for i in idx))
     blocks.append(Block(b[deltas[-1]], top, closed=True))
 
-    for i in idx:
-        ma = next(m for m, blk in enumerate(blocks) if blk.contains(a[i]))
-        mb = next(m for m, blk in enumerate(blocks) if blk.contains(b[i]))
-        if mb != ma + 1:
-            raise DecompositionError(f"index {i}: values fall in blocks {ma},{mb}, not adjacent")
+    if shift_levels([a[i] for i in idx], [b[i] for i in idx], blocks) is None:
+        raise DecompositionError("class values do not climb exactly one block per index")
 
     gammas = []
     for m in range(depth - 1):
@@ -279,14 +287,7 @@ def exhaustive_k_orderly(a: Sequence[int], b: Sequence[int], k: int) -> tuple[Bl
     lo, hi = values[0], values[-1]
     for cuts in combinations_with_replacement(range(m + 1), k):
         bounds = [lo] + [values[c] if c < m else hi + 1 for c in cuts] + [hi + 1]
-        ok = True
-        for i in range(len(a)):
-            ba = next(t for t in range(k + 1) if bounds[t] <= a[i] < bounds[t + 1])
-            bb = next(t for t in range(k + 1) if bounds[t] <= b[i] < bounds[t + 1])
-            if bb != ba + 1:
-                ok = False
-                break
-        if ok:
+        if all(bisect_right(bounds, y) == bisect_right(bounds, x) + 1 for x, y in zip(a, b)):
             blocks = [Block(bounds[t], bounds[t + 1]) for t in range(k)]
             blocks.append(Block(bounds[k], hi, closed=True))
             return tuple(blocks)
@@ -381,30 +382,21 @@ def orderly_cover(a: Sequence[int], b: Sequence[int]) -> CoverWitness:
     """Cover the index set by the convex classes, certifying each one.
 
     Plus classes are orderly at their ladder depth, minus classes at the depth
-    of the swapped pair, equal singletons need no blocks. The witness k is the
-    maximum piece depth, at least 1.
+    of the swapped pair, each with the blocks of its class analysis; equal
+    singletons need no blocks. The witness k is the maximum piece depth, at
+    least 1.
     """
     _check_pair(a, b)
     if tuple(a) == tuple(b):
         raise DecompositionError("identical tuples have no proper cover")
     pieces = []
     for cls in convex_closure(a, b):
-        sub_a = tuple(a[i] for i in cls.indices)
-        sub_b = tuple(b[i] for i in cls.indices)
         if cls.sign == ZERO:
             pieces.append(CoverPiece(cls.lo, cls.hi, "equal", 0, ()))
             continue
-        if cls.sign == PLUS:
-            analysis = analyze_class(a, b, cls)
-            blocks = is_k_orderly(sub_a, sub_b, analysis.depth)
-            kind = "A"
-        else:
-            analysis = analyze_class(a, b, cls)
-            blocks = is_k_orderly(sub_b, sub_a, analysis.depth)
-            kind = "B"
-        if blocks is None:
-            raise DecompositionError("class failed its own depth certificate")
-        pieces.append(CoverPiece(cls.lo, cls.hi, kind, analysis.depth, blocks))
+        analysis = analyze_class(a, b, cls)
+        kind = "A" if cls.sign == PLUS else "B"
+        pieces.append(CoverPiece(cls.lo, cls.hi, kind, analysis.depth, analysis.blocks))
     k = max((p.k for p in pieces), default=0)
     return CoverWitness(tuple(pieces), max(k, 1))
 
@@ -448,11 +440,6 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
             return False
         if p.k < 1 or len(p.blocks) != p.k + 1:
             return False
-        values = _merged_values(lo_t, hi_t)
-        for x in values:
-            homes = [m for m, blk in enumerate(p.blocks) if blk.contains(x)]
-            if len(homes) != 1:
-                return False
         prev_hi = None
         for m, blk in enumerate(p.blocks):
             if prev_hi is not None and blk.lo != prev_hi:
@@ -461,11 +448,8 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
             if blk.closed != closed:
                 return False
             prev_hi = blk.hi
-        for i in range(len(lo_t)):
-            ma = next(m for m, blk in enumerate(p.blocks) if blk.contains(lo_t[i]))
-            mb = next(m for m, blk in enumerate(p.blocks) if blk.contains(hi_t[i]))
-            if mb != ma + 1:
-                return False
+        if shift_levels(lo_t, hi_t, p.blocks) is None:
+            return False
 
     for pi in range(len(w.pieces)):
         for pj in range(pi + 1, len(w.pieces)):

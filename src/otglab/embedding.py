@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decompose import Block, CoverWitness, verify_cover
+from .decompose import Block, CoverWitness, shift_levels, verify_cover
 from .graphs import FiniteDigraph, FiniteGraph, lshift_digraph, shift_graph
 from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, otp
 
@@ -81,13 +81,9 @@ def _check_orderly(a: Sequence[int], b: Sequence[int], k: int, blocks: Sequence[
         raise EmbeddingError("need two nonempty tuples of equal length")
     if len(blocks) != k + 1:
         raise EmbeddingError(f"need {k + 1} blocks for a {k}-step ladder")
-    levels = []
-    for i in range(len(a)):
-        la = [m for m, blk in enumerate(blocks) if blk.contains(a[i])]
-        lb = [m for m, blk in enumerate(blocks) if blk.contains(b[i])]
-        if len(la) != 1 or len(lb) != 1 or lb[0] != la[0] + 1:
-            raise EmbeddingError(f"blocks do not certify the ladder at index {i}")
-        levels.append(la[0])
+    levels = shift_levels(a, b, blocks)
+    if levels is None:
+        raise EmbeddingError("blocks do not certify the ladder")
     return levels
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .seqs import OrderTypePattern
@@ -160,6 +161,28 @@ def graph_from_json(data: dict) -> FiniteGraph | FiniteDigraph:
     return FiniteGraph.from_json(data)
 
 
+def _tuple_reader(ranks: Sequence[int]):
+    # A run of consecutive ranks reads as one slice. That covers length-1 rows,
+    # where itemgetter of a single index would return a bare value, not a tuple.
+    lo, hi = ranks[0], ranks[-1] + 1
+    return itemgetter(slice(lo, hi)) if hi - lo == len(ranks) else itemgetter(*ranks)
+
+
+def _pattern_links(ranks_a: Sequence[int], ranks_b: Sequence[int], theta: int):
+    """Increasing tuples over 0..theta-1 and the index pairs (u, v) realizing a pattern.
+
+    With m ranks in the pattern, each m-subset s of 0..theta-1 realizes it on
+    exactly one ordered pair, u = s read at ranks_a and v = s read at ranks_b,
+    and every such pair arises so from the set of its endpoints' values.
+    """
+    vertices = list(combinations(range(theta), len(ranks_a)))
+    index = {v: i for i, v in enumerate(vertices)}
+    read_a, read_b = _tuple_reader(ranks_a), _tuple_reader(ranks_b)
+    m = max(ranks_a[-1], ranks_b[-1]) + 1
+    links = [(index[read_a(s)], index[read_b(s)]) for s in combinations(range(theta), m)]
+    return vertices, links
+
+
 def shift_graph(r: int, n: int) -> FiniteGraph:
     """Shift graph on increasing r-tuples over 0..n-1.
 
@@ -172,12 +195,14 @@ def shift_graph(r: int, n: int) -> FiniteGraph:
         raise ValueError("r must be >= 1")
     if n < r:
         raise ValueError(f"no increasing {r}-tuples over 0..{n - 1}")
-    vertices = list(combinations(range(n), r))
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for c in combinations(range(n), r + 1):
-        edges.append((index[c[:r]], index[c[1:]]))
-    return FiniteGraph(vertices, edges)
+    return FiniteGraph(*_pattern_links(range(r), range(1, r + 1), n))
+
+
+def _check_shift_digraph(k: int, n: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n <= k:
+        raise ValueError(f"need n > k, got k={k}, n={n}")
 
 
 def lshift_digraph(k: int, n: int) -> FiniteDigraph:
@@ -186,16 +211,8 @@ def lshift_digraph(k: int, n: int) -> FiniteDigraph:
     For k = 1 this degenerates to the strict order: an arc from every singleton
     to every larger singleton.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n <= k:
-        raise ValueError(f"need n > k, got k={k}, n={n}")
-    vertices = list(combinations(range(n), k))
-    index = {v: i for i, v in enumerate(vertices)}
-    arcs = []
-    for c in combinations(range(n), k + 1):
-        arcs.append((index[c[:k]], index[c[1:]]))
-    return FiniteDigraph(vertices, arcs)
+    _check_shift_digraph(k, n)
+    return FiniteDigraph(*_pattern_links(range(k), range(1, k + 1), n))
 
 
 def rshift_digraph(k: int, n: int) -> FiniteDigraph:
@@ -205,36 +222,15 @@ def rshift_digraph(k: int, n: int) -> FiniteDigraph:
     arc runs from each k-tuple to each tuple obtained by shifting it one slot
     right (k = 1: from every singleton to every smaller singleton).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n <= k:
-        raise ValueError(f"need n > k, got k={k}, n={n}")
-    vertices = list(combinations(range(n), k))
-    index = {v: i for i, v in enumerate(vertices)}
-    arcs = []
-    for c in combinations(range(n), k + 1):
-        arcs.append((index[c[1:]], index[c[:k]]))
-    return FiniteDigraph(vertices, arcs)
+    _check_shift_digraph(k, n)
+    return FiniteDigraph(*_pattern_links(range(1, k + 1), range(k), n))
 
 
 def order_type_graph(pattern: OrderTypePattern, theta: int) -> FiniteGraph:
-    """Graph on increasing tuples over 0..theta-1: adjacency = realizing the pattern either way.
-
-    With m ranks in the pattern, each m-subset s of 0..theta-1 realizes it on
-    exactly one ordered pair, u = s read at ranks_a and v = s read at ranks_b,
-    and every edge arises so from the set of its endpoints' values.
-    """
+    """Graph on increasing tuples over 0..theta-1: adjacency = realizing the pattern either way."""
     if not pattern.irreflexive:
         raise ValueError("pattern not irreflexive (identical rank rows)")
-    vertices = list(combinations(range(theta), pattern.length))
-    index = {v: i for i, v in enumerate(vertices)}
-    ra, rb = pattern.ranks_a, pattern.ranks_b
-    m = max(ra[-1], rb[-1]) + 1
-    edges = [
-        (index[tuple(s[r] for r in ra)], index[tuple(s[r] for r in rb)])
-        for s in combinations(range(theta), m)
-    ]
-    return FiniteGraph(vertices, edges)
+    return FiniteGraph(*_pattern_links(pattern.ranks_a, pattern.ranks_b, theta))
 
 
 def _as_map(f, n_src: int) -> list[int]:

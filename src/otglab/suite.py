@@ -22,6 +22,7 @@ from .decompose import (
     convex_closure,
     is_k_orderly,
     orderly_cover,
+    shift_levels,
     sign_partition,
     verify_cover,
 )
@@ -60,10 +61,9 @@ DECOMP_CHECKS = (
 class SuiteCaps:
     max_len: int = 8
     value_bound: int = 32
-    max_shift: int = 5
 
     def to_json(self) -> dict:
-        return {"max_len": self.max_len, "value_bound": self.value_bound, "max_shift": self.max_shift}
+        return {"max_len": self.max_len, "value_bound": self.value_bound}
 
 
 def _fail(detail: str) -> tuple[str, str]:
@@ -137,16 +137,8 @@ def _check_block_shift(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str
             continue
         lo_t, hi_t = _oriented(a, b, cls)
         blocks = analyze_class(a, b, cls).blocks
-        merged = sorted(set(lo_t) | set(hi_t))
-        for x in merged:
-            homes = [m for m, blk in enumerate(blocks) if blk.contains(x)]
-            if len(homes) != 1:
-                return _fail(f"value {x} sits in blocks {homes} of class {cls}")
-        for i in range(len(lo_t)):
-            ma = next(m for m, blk in enumerate(blocks) if blk.contains(lo_t[i]))
-            mb = next(m for m, blk in enumerate(blocks) if blk.contains(hi_t[i]))
-            if mb != ma + 1:
-                return _fail(f"index {i} of class {cls} jumps blocks {ma}->{mb}")
+        if shift_levels(lo_t, hi_t, blocks) is None:
+            return _fail(f"blocks of class {cls} do not certify the one-step shift")
         if not blocks[-1].closed or any(blk.closed for blk in blocks[:-1]):
             return _fail(f"closed flags wrong in class {cls}")
     return _ok()

@@ -102,6 +102,22 @@ def test_chi_negative_budget_is_usage_error():
         assert len(res.stderr.strip().splitlines()) == 1
 
 
+def test_chi_input_schema_errors_are_usage_errors(tmp_path):
+    docs = [
+        {"vertices": 5, "edges": []},
+        {"edges": []},
+        [1, 2],
+        {"vertices": [0, 1], "edges": 5},
+    ]
+    path = tmp_path / "graph.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        res = run_cli("chi", "--input", str(path))
+        assert res.returncode == 2, doc
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
+
 def test_chi_missing_args():
     assert run_cli("chi").returncode == 2
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from otglab import (
     sign_partition,
     verify_cover,
 )
-from otglab.decompose import generator_pairs
+from otglab.decompose import generator_pairs, shift_levels
 from otglab.oracles import closure_oracle, exhaustive_min_k
 
 
@@ -147,6 +148,28 @@ def test_block_shift_property_on_examples():
                 ba = next(m for m, blk in enumerate(blocks) if blk.contains(lo[i]))
                 bb = next(m for m, blk in enumerate(blocks) if blk.contains(hi[i]))
                 assert bb == ba + 1
+
+
+def test_shift_levels_accepts_a_ladder():
+    blocks = (Block(0, 2), Block(2, 4), Block(4, 6, closed=True))
+    assert shift_levels((0, 1, 3), (2, 3, 6), blocks) == [0, 0, 1]
+
+
+def test_shift_levels_rejects_a_value_without_home():
+    blocks = (Block(0, 2), Block(2, 4, closed=True))
+    assert shift_levels((1,), (5,), blocks) is None
+    assert shift_levels((-1,), (2,), blocks) is None
+
+
+def test_shift_levels_rejects_a_value_with_two_homes():
+    # 0 sits in blocks 0 and 2; taking its first home would accept the pair
+    blocks = (Block(0, 2), Block(2, 4), Block(0, 1, closed=True))
+    assert shift_levels((0,), (3,), blocks) is None
+
+
+def test_shift_levels_rejects_a_jump_of_two_blocks():
+    blocks = (Block(0, 2), Block(2, 4), Block(4, 6, closed=True))
+    assert shift_levels((1,), (5,), blocks) is None
 
 
 def test_is_k_orderly_examples():
@@ -316,3 +339,30 @@ def test_canonical_matches_exhaustive_min_k(data):
     assert is_k_orderly(a, b, depth) is not None
     if depth > 1:
         assert is_k_orderly(a, b, depth - 1) is None
+
+
+def dense_pairs(count, seed):
+    """Two uniform L-subsets of range(L + L // 2): overlapping intervals, deep ladders."""
+    rnd = random.Random(seed)
+    while count:
+        size = rnd.randint(4, 16)
+        values = range(size + size // 2)
+        a = tuple(sorted(rnd.sample(values, size)))
+        b = tuple(sorted(rnd.sample(values, size)))
+        if a != b:
+            count -= 1
+            yield a, b
+
+
+def test_dense_pairs_closure_and_cover():
+    for a, b in dense_pairs(300, 41):
+        assert convex_closure(a, b) == closure_oracle(a, b), (a, b)
+        w = orderly_cover(a, b)
+        for p in w.pieces:
+            if p.kind == "equal":
+                continue
+            sub_a = tuple(a[i] for i in p.indices)
+            sub_b = tuple(b[i] for i in p.indices)
+            lo_t, hi_t = (sub_b, sub_a) if p.kind == "B" else (sub_a, sub_b)
+            assert p.blocks == is_k_orderly(lo_t, hi_t, p.k), (a, b, p)
+        assert verify_cover(a, b, w), (a, b)

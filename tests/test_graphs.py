@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -176,6 +177,30 @@ def test_order_type_graph_matches_oracle_on_random_patterns():
                 break
         p, theta = otp(a, b), rnd.randrange(1, 10)
         assert order_type_graph(p, theta) == order_type_graph_oracle(p, theta), (a, b, theta)
+
+
+def test_shift_graph_matches_oracle():
+    for r in range(1, 5):
+        p = otp(range(r), range(1, r + 1))
+        for n in range(r, 10):
+            assert shift_graph(r, n) == order_type_graph_oracle(p, n), (r, n)
+
+
+def test_shift_digraphs_match_brute_definition():
+    # u -> v in LSh_k(n) when v continues u by one letter; RSh_k(n) reverses every arc
+    for k in range(1, 4):
+        for n in range(k + 1, 8):
+            tuples = list(combinations(range(n), k))
+            left = [
+                (i, j)
+                for i, u in enumerate(tuples)
+                for j, v in enumerate(tuples)
+                if u < v and u[1:] == v[:-1]
+            ]
+            lsh, rsh = lshift_digraph(k, n), rshift_digraph(k, n)
+            assert lsh.vertices == tuples and rsh.vertices == tuples
+            assert lsh.arcs == left, (k, n)
+            assert rsh.arcs == sorted((j, i) for i, j in left), (k, n)
 
 
 def test_verify_homomorphism_identity_and_constant():

@@ -76,7 +76,7 @@ def test_run_case_uses_derived_streams():
 
 
 def test_caps_respected():
-    caps = SuiteCaps(max_len=3, value_bound=9, max_shift=4)
+    caps = SuiteCaps(max_len=3, value_bound=9)
     report = run_suite(13, 40, caps)
     assert report.ok
     for case_index in range(40):
@@ -92,7 +92,7 @@ def test_report_json_shape():
     assert doc["ok"] is True
     assert set(doc["tallies"]) == set(CHECKS)
     assert doc["failures"] == []
-    assert doc["caps"] == {"max_len": 8, "value_bound": 32, "max_shift": 5}
+    assert doc["caps"] == {"max_len": 8, "value_bound": 32}
 
 
 def test_table_lists_every_check():

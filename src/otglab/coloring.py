@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import FiniteGraph, order_type_graph, verify_homomorphism, verify_strong_homomorphism
 from .seqs import OrderTypePattern
@@ -60,9 +60,15 @@ def greedy_coloring(g: FiniteGraph, order: Sequence[int] | None = None) -> Color
 
 def greedy_clique(g: FiniteGraph) -> list[int]:
     """Greedy maximal clique: scan by decreasing degree, keep mutually adjacent picks."""
+    return _clique_along(sorted(range(g.n), key=lambda x: (-g.degree(x), x)), g.neighbors)
+
+
+def _clique_along(order: Iterable[int], adj: Callable[[int], set[int]]) -> list[int]:
+    """Scan order, keeping each vertex adjacent to every one kept before; adj(v) is v's neighbor set."""
     clique: list[int] = []
-    for v in sorted(range(g.n), key=lambda x: (-g.degree(x), x)):
-        if all(g.has_edge(v, u) for u in clique):
+    for v in order:
+        near = adj(v)
+        if all(u in near for u in clique):
             clique.append(v)
     return clique
 
@@ -119,9 +125,9 @@ class _BudgetHit(Exception):
 
 
 def _dsatur_search(
-    nbrs: list[list[int]], k: int, nodes: int = 0, budget: int | None = None
-) -> tuple[list[int] | None, int]:
-    """Depth-first search for a proper coloring with at most k colors.
+    nbrs: list[list[int]], k: int, nodes: int = 0, budget: int | None = None, probe: int | None = None
+) -> Iterator[int]:
+    """Depth-first search for a proper coloring with at most k colors, as a generator.
 
     Vertices are numbered by rank (decreasing degree, then index), so the
     branching vertex, of maximal saturation with ties to the lowest rank, is
@@ -129,8 +135,13 @@ def _dsatur_search(
     tried in ascending order, at most one of them fresh. Returns the colors
     by rank, or None when no k-coloring exists, with the running node count
     (one per decision, the root included); raises _BudgetHit past budget.
-    With k = n the first leaf is the DSatur greedy coloring.
+    When probe is below budget, the search first pauses once past probe
+    nodes, yielding the node count; resumed, it goes on under budget. Drive
+    it with _advance. With k = n the first leaf is the DSatur greedy coloring.
     """
+    stop = budget  # the node count past which the search pauses or gives up
+    if probe is not None and (budget is None or probe < budget):
+        stop = probe
     n = len(nbrs)
     colors = [-1] * n
     seen = [0] * n  # colors on the colored neighbors, as a bitmask
@@ -141,8 +152,11 @@ def _dsatur_search(
     used = 0
     v, c = 0, 0
     nodes += 1
-    if budget is not None and nodes > budget:
-        raise _BudgetHit
+    if stop is not None and nodes > stop:
+        if stop == budget:
+            raise _BudgetHit
+        yield nodes
+        stop = budget
     while True:
         limit = min(used + 1, k)
         forbidden = seen[v]
@@ -164,8 +178,11 @@ def _dsatur_search(
             if c == used:
                 used += 1
             nodes += 1
-            if budget is not None and nodes > budget:
-                raise _BudgetHit
+            if stop is not None and nodes > stop:
+                if stop == budget:
+                    raise _BudgetHit
+                yield nodes
+                stop = budget
             if len(stack) == n:
                 return colors, nodes
             s = used
@@ -190,6 +207,85 @@ def _dsatur_search(
         c += 1
 
 
+_PAUSED = object()
+
+
+def _advance(search: Iterator[int]) -> tuple:
+    """Run a _dsatur_search on: its (colors or None, nodes), or (_PAUSED, nodes) at its pause."""
+    try:
+        return _PAUSED, next(search)
+    except StopIteration as done:
+        return done.value
+
+
+# Decision nodes a search at one color count may spend before the tabu phase runs.
+_PROBE_NODES = 256
+# Moves the tabu phase may make at one color count.
+_TABU_MOVES = 200
+
+
+def _tabucol(nbrs: list[list[int]], start: list[int], k: int, cap: int) -> list[int] | None:
+    """Deterministic TabuCol (Hertz & de Werra 1987) for a coloring with colors below k.
+
+    Starts from start, with each vertex colored k or more moved to its
+    least-conflicting color. Each move recolors one conflicting vertex: the
+    non-tabu move that lowers the number of monochromatic edges most, ties to
+    the lowest (rank, color). A tabu move is allowed when it beats the fewest
+    conflicts seen so far. Moving v off color c makes c tabu for v for
+    it % 10 + 6 * (conflicting vertices) // 10 moves. Returns the colors by
+    rank once no edge is monochromatic, or None after cap moves.
+    """
+    n = len(nbrs)
+    col = list(start)
+    gamma = [[0] * k for _ in range(n)]  # gamma[v][c]: neighbors of v colored c
+    for v in range(n):
+        if col[v] < k:
+            for w in nbrs[v]:
+                gamma[w][col[v]] += 1
+    for v in range(n):
+        if col[v] >= k:
+            gv = gamma[v]
+            c = col[v] = gv.index(min(gv))
+            for w in nbrs[v]:
+                gamma[w][c] += 1
+    conflicting = {v for v in range(n) if gamma[v][col[v]]}
+    conflicts = sum(gamma[v][col[v]] for v in conflicting) // 2
+    fewest = conflicts
+    tabu = [[0] * k for _ in range(n)]  # tabu[v][c]: first move at which v may take c again
+    for it in range(cap):
+        if not conflicts:
+            return col
+        move = None
+        for v in sorted(conflicting):
+            gv, tv, cv = gamma[v], tabu[v], col[v]
+            here = gv[cv]
+            for c in range(k):
+                delta = gv[c] - here
+                if c != cv and (move is None or delta < best) and (tv[c] <= it or conflicts + delta < fewest):
+                    move, best = (v, c), delta
+        if move is None:
+            continue
+        v, c = move
+        old = col[v]
+        col[v] = c
+        for w in nbrs[v]:
+            gw = gamma[w]
+            gw[old] -= 1
+            gw[c] += 1
+            if col[w] == c:
+                conflicting.add(w)
+            elif col[w] == old and not gw[old]:
+                conflicting.discard(w)
+        if gamma[v][c]:
+            conflicting.add(v)
+        else:
+            conflicting.discard(v)
+        tabu[v][old] = it + 1 + it % 10 + 6 * len(conflicting) // 10
+        conflicts += best
+        fewest = min(fewest, conflicts)
+    return None if conflicts else col
+
+
 def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
     """Exact chromatic number by bounds and repeated coloring searches.
 
@@ -200,8 +296,13 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
     palette, none found makes the upper bound exact. The search branches on
     the uncolored vertex of maximal saturation (ties: higher degree, then
     lower index) and tries existing colors in ascending order plus at most
-    one fresh color. budget caps the decision nodes summed over all searches;
-    exhausting it yields an inconclusive result with bounds.
+    one fresh color. Each such search pauses once past _PROBE_NODES nodes of
+    its own; a deterministic tabu search from the best coloring so far then
+    looks for the same color count, and its coloring counts only once
+    verify_coloring accepts it. Otherwise the paused search goes on, so no
+    node is searched twice. budget caps the decision nodes summed over all
+    searches, paused ones included; tabu moves are not decision nodes.
+    Exhausting the budget yields an inconclusive result with bounds.
     """
     n = g.n
     if n == 0:
@@ -214,15 +315,21 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
         rank[v] = r
     nbrs = [[rank[w] for w in g.neighbors(v)] for v in order]
 
-    best, _ = _dsatur_search(nbrs, n)
+    best, _ = _advance(_dsatur_search(nbrs, n))
     ub = max(best) + 1
-    lb = len(greedy_clique(g))
+    lb = len(_clique_along(order, g.neighbors))
     if lb < 3 and _odd_cycle(nbrs):
         lb = 3
     nodes = 0
     try:
         while lb < ub:
-            found, nodes = _dsatur_search(nbrs, ub - 1, nodes, budget)
+            k = ub - 1
+            search = _dsatur_search(nbrs, k, nodes, budget, nodes + _PROBE_NODES)
+            found, nodes = _advance(search)
+            if found is _PAUSED:
+                found = _tabucol(nbrs, best, k, _TABU_MOVES)
+                if found is None or not verify_coloring(g, _witness(found, rank, k)):
+                    found, nodes = _advance(search)
             if found is None:
                 break
             best = found

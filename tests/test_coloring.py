@@ -21,6 +21,7 @@ from otglab import (
     verify_coloring,
     verify_strong_homomorphism,
 )
+from otglab.coloring import _advance, _clique_along, _dsatur_search, _tabucol
 from otglab.oracles import brute_chromatic, has_k_coloring
 
 
@@ -138,6 +139,99 @@ def test_shift_graph_12_exact_within_budget():
     res = chromatic_number(g, budget=5000)
     assert res.exact and res.chi == 4
     assert verify_coloring(g, res.witness)
+
+
+def test_shift_graph_13_to_16_exact_within_budget():
+    # chi(Sh_2(n)) = ceil(log2 n) = 4; the exact search alone needs >12k
+    # nodes to find the 4-coloring, the tabu phase finds it in moves
+    for n in range(13, 17):
+        g = shift_graph(2, n)
+        res = chromatic_number(g, budget=5000)
+        assert res.exact and res.chi == 4
+        assert res.nodes <= 5000
+        assert verify_coloring(g, res.witness)
+
+
+def by_rank(g):
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    rank = {v: r for r, v in enumerate(order)}
+    return order, [[rank[w] for w in g.neighbors(v)] for v in order]
+
+
+def test_tabucol_returns_only_proper_colorings():
+    import random
+
+    rnd = random.Random(29)
+    hits = 0
+    for _ in range(40):
+        g = random_graph(rnd, lo=4, hi=9)
+        k = brute_chromatic(g)
+        _, nbrs = by_rank(g)
+        start = list(range(g.n))  # every vertex its own color: all >= k get moved
+        found = _tabucol(nbrs, start, k, 200)
+        if found is not None:
+            hits += 1
+            assert all(0 <= c < k for c in found)
+            assert all(found[v] != found[w] for v in range(g.n) for w in nbrs[v])
+    assert hits  # the check above ran
+
+
+def test_tabucol_cannot_color_k4_with_three():
+    g = shift_graph(1, 4)
+    _, nbrs = by_rank(g)
+    assert _tabucol(nbrs, [0, 1, 2, 3], 3, 200) is None
+
+
+def test_tabucol_deterministic_on_sh2_16():
+    g = shift_graph(2, 16)
+    _, nbrs = by_rank(g)
+    start = [v % 6 for v in range(g.n)]
+    assert _tabucol(nbrs, start, 4, 200) == _tabucol(nbrs, start, 4, 200)
+    a = chromatic_number(g)
+    b = chromatic_number(g)
+    assert a.chi == 4
+    assert a.witness == b.witness
+    assert a.nodes == b.nodes
+
+
+def mycielski(g):
+    n = g.n
+    edges = list(g.edges) + [(i, n + j) for i, j in g.edges] + [(j, n + i) for i, j in g.edges]
+    edges += [(n + i, 2 * n) for i in range(n)]
+    return FiniteGraph(list(range(2 * n + 1)), edges)
+
+
+def test_paused_search_resumes_without_searching_twice():
+    # the Mycielski graph on 23 vertices: chi 5 but triangle-free, so lb = 3
+    # and greedy gives 5; refuting 4 colors outlasts the probe, and no tabu
+    # run can find 4 colors, so the paused search must go on, not restart
+    g = mycielski(mycielski(mycielski(FiniteGraph([0, 1], [(0, 1)]))))
+    _, nbrs = by_rank(g)
+    found, pure = _advance(_dsatur_search(nbrs, 4))
+    assert found is None and pure > 256
+    res = chromatic_number(g)
+    assert res.chi == 5 and res.nodes == pure
+    assert chromatic_number(g, budget=pure).exact
+    assert not chromatic_number(g, budget=pure - 1).exact
+
+
+def test_clique_along_rank_order_matches_greedy_clique():
+    import random
+
+    # the graphs of test_chromatic_number_matches_brute_oracle
+    rnd = random.Random(23)
+    connected = [random_graph(rnd) for _ in range(40)]
+    split = [
+        disjoint_union(*(random_graph(rnd, lo=1, hi=5) for _ in range(rnd.randrange(2, 4))))
+        for _ in range(40)
+    ]
+    for g in connected + split:
+        reference: list[int] = []  # independent scan: degree order, has_edge probes
+        for v in sorted(range(g.n), key=lambda x: (-g.degree(x), x)):
+            if all(g.has_edge(v, u) for u in reference):
+                reference.append(v)
+        order, _ = by_rank(g)
+        assert _clique_along(order, g.neighbors) == greedy_clique(g) == reference
 
 
 def test_chromatic_number_rejects_negative_budget():

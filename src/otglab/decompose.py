@@ -148,10 +148,6 @@ class Block:
     def contains(self, x: int) -> bool:
         return self.lo <= x <= self.hi if self.closed else self.lo <= x < self.hi
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.closed and self.lo >= self.hi
-
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "closed": self.closed}
 
@@ -378,6 +374,21 @@ class CoverWitness:
         return cls(tuple(CoverPiece.from_json(p) for p in data["pieces"]), int(data["k"]))
 
 
+def _cover(classes: Sequence[ConvexClass], analyses: Sequence[ClassAnalysis]) -> CoverWitness:
+    """The cover by the classes; analyses holds one per nonzero class, in class order."""
+    rest = iter(analyses)
+    pieces = []
+    for cls in classes:
+        if cls.sign == ZERO:
+            pieces.append(CoverPiece(cls.lo, cls.hi, "equal", 0, ()))
+            continue
+        analysis = next(rest)
+        kind = "A" if cls.sign == PLUS else "B"
+        pieces.append(CoverPiece(cls.lo, cls.hi, kind, analysis.depth, analysis.blocks))
+    k = max((p.k for p in pieces), default=0)
+    return CoverWitness(tuple(pieces), max(k, 1))
+
+
 def orderly_cover(a: Sequence[int], b: Sequence[int]) -> CoverWitness:
     """Cover the index set by the convex classes, certifying each one.
 
@@ -389,16 +400,8 @@ def orderly_cover(a: Sequence[int], b: Sequence[int]) -> CoverWitness:
     _check_pair(a, b)
     if tuple(a) == tuple(b):
         raise DecompositionError("identical tuples have no proper cover")
-    pieces = []
-    for cls in convex_closure(a, b):
-        if cls.sign == ZERO:
-            pieces.append(CoverPiece(cls.lo, cls.hi, "equal", 0, ()))
-            continue
-        analysis = analyze_class(a, b, cls)
-        kind = "A" if cls.sign == PLUS else "B"
-        pieces.append(CoverPiece(cls.lo, cls.hi, kind, analysis.depth, analysis.blocks))
-    k = max((p.k for p in pieces), default=0)
-    return CoverWitness(tuple(pieces), max(k, 1))
+    classes = convex_closure(a, b)
+    return _cover(classes, [analyze_class(a, b, cls) for cls in classes if cls.sign != ZERO])
 
 
 def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
@@ -468,10 +471,8 @@ def decomposition_report(a: Sequence[int], b: Sequence[int]) -> dict:
     _check_pair(a, b)
     signs = sign_partition(a, b)
     classes = convex_closure(a, b)
-    analyses = [
-        analyze_class(a, b, cls).to_json() for cls in classes if cls.sign != ZERO
-    ]
-    cover = orderly_cover(a, b)
+    analyses = [analyze_class(a, b, cls) for cls in classes if cls.sign != ZERO]
+    cover = _cover(classes, analyses)
     if not verify_cover(a, b, cover):
         raise DecompositionError("internal cover failed verification")
     return {
@@ -479,6 +480,6 @@ def decomposition_report(a: Sequence[int], b: Sequence[int]) -> dict:
         "b": list(b),
         "signs": signs.to_json(),
         "classes": [cls.to_json() for cls in classes],
-        "analyses": analyses,
+        "analyses": [analysis.to_json() for analysis in analyses],
         "cover": cover.to_json(),
     }

@@ -167,21 +167,12 @@ class EmbeddingMap:
     images: tuple[IncreasingTuple, ...]
     pattern: OrderTypePattern
 
-    def image_of(self, vertex_index: int) -> IncreasingTuple:
-        return self.images[vertex_index]
-
     def to_json(self) -> dict:
         return {
             "frame": list(self.frame.radices),
             "pattern": self.pattern.to_json(),
             "source": self.source.to_json(),
-            "images": [
-                {
-                    "digits": [list(self.frame.decode(v)) for v in img],
-                    "values": list(img),
-                }
-                for img in self.images
-            ],
+            "images": [{"values": list(img)} for img in self.images],
             "verified": True,
         }
 

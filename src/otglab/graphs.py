@@ -115,9 +115,6 @@ class FiniteDigraph:
     def m(self) -> int:
         return len(self.arcs)
 
-    def successors(self, i: int) -> set[int]:
-        return self._succ[i]
-
     def has_arc(self, i: int, j: int) -> bool:
         return j in self._succ[i]
 
@@ -128,10 +125,6 @@ class FiniteDigraph:
 
     def __repr__(self) -> str:
         return f"FiniteDigraph(n={self.n}, m={self.m})"
-
-    def symmetrize(self) -> FiniteGraph:
-        """Forget arc directions (and any antiparallel duplicates)."""
-        return FiniteGraph(self.vertices, self.arcs)
 
     def to_json(self) -> dict:
         return {
@@ -233,17 +226,20 @@ def order_type_graph(pattern: OrderTypePattern, theta: int) -> FiniteGraph:
     return FiniteGraph(*_pattern_links(pattern.ranks_a, pattern.ranks_b, theta))
 
 
-def _as_map(f, n_src: int) -> list[int]:
+def _as_map(f, n_src: int, n_dst: int) -> list[int]:
     if isinstance(f, Mapping):
         out = []
         for i in range(n_src):
             if i not in f:
                 raise ValueError(f"map undefined at vertex {i}")
             out.append(f[i])
-        return out
-    out = list(f)
-    if len(out) != n_src:
-        raise ValueError(f"map covers {len(out)} vertices, source has {n_src}")
+    else:
+        out = list(f)
+        if len(out) != n_src:
+            raise ValueError(f"map covers {len(out)} vertices, source has {n_src}")
+    for x in out:
+        if not (0 <= x < n_dst):
+            raise ValueError(f"image vertex {x} out of range")
     return out
 
 
@@ -258,18 +254,12 @@ def verify_homomorphism(f, src, dst, mode: str | None = None) -> bool:
     if mode == "graph":
         if not (isinstance(src, FiniteGraph) and isinstance(dst, FiniteGraph)):
             raise ValueError("graph mode needs two undirected graphs")
-        mapping = _as_map(f, src.n)
-        for x in mapping:
-            if not (0 <= x < dst.n):
-                raise ValueError(f"image vertex {x} out of range")
+        mapping = _as_map(f, src.n, dst.n)
         return all(dst.has_edge(mapping[i], mapping[j]) for i, j in src.edges)
     if mode == "digraph":
         if not (isinstance(src, FiniteDigraph) and isinstance(dst, FiniteDigraph)):
             raise ValueError("digraph mode needs two digraphs")
-        mapping = _as_map(f, src.n)
-        for x in mapping:
-            if not (0 <= x < dst.n):
-                raise ValueError(f"image vertex {x} out of range")
+        mapping = _as_map(f, src.n, dst.n)
         return all(dst.has_arc(mapping[i], mapping[j]) for i, j in src.arcs)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -280,10 +270,7 @@ def verify_strong_homomorphism(f, src: FiniteGraph, dst: FiniteGraph) -> bool:
     Strong means edge iff image-edge: distinct vertices with the same image
     must be non-adjacent, since graphs carry no loops.
     """
-    mapping = _as_map(f, src.n)
-    for x in mapping:
-        if not (0 <= x < dst.n):
-            raise ValueError(f"image vertex {x} out of range")
+    mapping = _as_map(f, src.n, dst.n)
     for i in range(src.n):
         for j in range(i + 1, src.n):
             if src.has_edge(i, j) != dst.has_edge(mapping[i], mapping[j]):

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .coloring import (
@@ -16,6 +17,7 @@ from .coloring import (
 from .decompose import (
     MINUS,
     ZERO,
+    ConvexClass,
     CoverWitness,
     analyze_class,
     classes_separated,
@@ -31,21 +33,6 @@ from .graphs import FiniteGraph
 from .oracles import brute_chromatic, closure_oracle, exhaustive_min_k
 from .rng import SplitMix64, case_seed, random_pair
 from .seqs import LexFrame, otp, remap_monotone
-
-CHECKS = (
-    "otp-remap",
-    "lex-order",
-    "sign-purity",
-    "class-separation",
-    "block-shift",
-    "zeta-chain",
-    "closure-confluence",
-    "cover-verifies",
-    "orderly-oracle",
-    "embedding",
-    "chi-oracle",
-    "coloring-calculus",
-)
 
 DECOMP_CHECKS = (
     "sign-purity",
@@ -66,6 +53,40 @@ class SuiteCaps:
         return {"max_len": self.max_len, "value_bound": self.value_bound}
 
 
+class _Case:
+    """One suite case: its pair and the decomposition facts its checks read.
+
+    Each fact is built on first use and kept for the case. A build that raises
+    keeps nothing, so it fails only the checks that read that fact.
+    """
+
+    def __init__(self, a: tuple[int, ...], b: tuple[int, ...]):
+        self.a = a
+        self.b = b
+
+    @cached_property
+    def classes(self) -> list[ConvexClass]:
+        return convex_closure(self.a, self.b)
+
+    @cached_property
+    def ladders(self) -> list[tuple]:
+        """(class, low tuple, high tuple, analysis) of each nonzero class, oriented plus."""
+        out = []
+        for cls in self.classes:
+            if cls.sign == ZERO:
+                continue
+            lo_t = tuple(self.a[i] for i in cls.indices)
+            hi_t = tuple(self.b[i] for i in cls.indices)
+            if cls.sign == MINUS:
+                lo_t, hi_t = hi_t, lo_t
+            out.append((cls, lo_t, hi_t, analyze_class(self.a, self.b, cls)))
+        return out
+
+    @cached_property
+    def cover(self) -> CoverWitness:
+        return orderly_cover(self.a, self.b)
+
+
 def _fail(detail: str) -> tuple[str, str]:
     return "fail", detail
 
@@ -74,7 +95,8 @@ def _ok() -> tuple[str, str]:
     return "pass", ""
 
 
-def _check_otp_remap(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
+def _check_otp_remap(case: _Case, rng: SplitMix64) -> tuple[str, str]:
+    a, b = case.a, case.b
     pattern = otp(a, b)
     values = sorted(set(a) | set(b))
     image = {}
@@ -91,7 +113,7 @@ def _check_otp_remap(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
     return _ok()
 
 
-def _check_lex_order(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
+def _check_lex_order(case: _Case, rng: SplitMix64) -> tuple[str, str]:
     for _ in range(5):
         radices = tuple(2 + rng.below(5) for _ in range(1 + rng.below(4)))
         frame = LexFrame(radices)
@@ -105,9 +127,9 @@ def _check_lex_order(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
     return _ok()
 
 
-def _check_sign_purity(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
-    signs = sign_partition(a, b)
-    for cls in convex_closure(a, b):
+def _check_sign_purity(case: _Case, rng: SplitMix64) -> tuple[str, str]:
+    signs = sign_partition(case.a, case.b)
+    for cls in case.classes:
         kinds = {signs.sign_of(i) for i in cls.indices}
         if kinds != {cls.sign}:
             return _fail(f"class {cls} carries signs {sorted(kinds)}")
@@ -116,27 +138,18 @@ def _check_sign_purity(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str
     return _ok()
 
 
-def _check_class_separation(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
-    classes = convex_closure(a, b)
+def _check_class_separation(case: _Case, rng: SplitMix64) -> tuple[str, str]:
+    classes = case.classes
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            if not classes_separated(a, b, classes[i], classes[j]):
+            if not classes_separated(case.a, case.b, classes[i], classes[j]):
                 return _fail(f"classes {classes[i]} and {classes[j]} not separated")
     return _ok()
 
 
-def _oriented(a, b, cls):
-    sub_a = tuple(a[i] for i in cls.indices)
-    sub_b = tuple(b[i] for i in cls.indices)
-    return (sub_b, sub_a) if cls.sign == MINUS else (sub_a, sub_b)
-
-
-def _check_block_shift(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
-    for cls in convex_closure(a, b):
-        if cls.sign == ZERO:
-            continue
-        lo_t, hi_t = _oriented(a, b, cls)
-        blocks = analyze_class(a, b, cls).blocks
+def _check_block_shift(case: _Case, rng: SplitMix64) -> tuple[str, str]:
+    for cls, lo_t, hi_t, analysis in case.ladders:
+        blocks = analysis.blocks
         if shift_levels(lo_t, hi_t, blocks) is None:
             return _fail(f"blocks of class {cls} do not certify the one-step shift")
         if not blocks[-1].closed or any(blk.closed for blk in blocks[:-1]):
@@ -144,12 +157,8 @@ def _check_block_shift(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str
     return _ok()
 
 
-def _check_zeta_chain(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
-    for cls in convex_closure(a, b):
-        if cls.sign == ZERO:
-            continue
-        lo_t, hi_t = _oriented(a, b, cls)
-        analysis = analyze_class(a, b, cls)
+def _check_zeta_chain(case: _Case, rng: SplitMix64) -> tuple[str, str]:
+    for cls, lo_t, hi_t, analysis in case.ladders:
         z = [i - cls.lo for i in analysis.zetas]
         d = [i - cls.lo for i in analysis.deltas]
         if len(z) != analysis.depth or len(d) != analysis.depth:
@@ -165,27 +174,27 @@ def _check_zeta_chain(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]
     return _ok()
 
 
-def _check_closure_confluence(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
-    fast = convex_closure(a, b)
-    slow = closure_oracle(a, b)
+def _check_closure_confluence(case: _Case, rng: SplitMix64) -> tuple[str, str]:
+    fast = case.classes
+    slow = closure_oracle(case.a, case.b)
     if fast != slow:
         return _fail(f"closures disagree: {fast} vs {slow}")
     return _ok()
 
 
-def _check_cover_verifies(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
-    w = orderly_cover(a, b)
-    if not verify_cover(a, b, w):
-        return _fail(f"cover of {a},{b} fails verification")
+def _check_cover_verifies(case: _Case, rng: SplitMix64) -> tuple[str, str]:
+    w = case.cover
+    if not verify_cover(case.a, case.b, w):
+        return _fail(f"cover of {case.a},{case.b} fails verification")
     if CoverWitness.from_json(w.to_json()) != w:
         return _fail("cover witness does not survive its JSON round trip")
     return _ok()
 
 
-def _check_orderly_oracle(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
-    w = orderly_cover(a, b)
+def _check_orderly_oracle(case: _Case, rng: SplitMix64) -> tuple[str, str]:
+    a, b = case.a, case.b
     checked = 0
-    for p in w.pieces:
+    for p in case.cover.pieces:
         if p.kind == "equal":
             continue
         sub = tuple(a[i] for i in p.indices), tuple(b[i] for i in p.indices)
@@ -206,8 +215,8 @@ def _check_orderly_oracle(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, 
     return _ok()
 
 
-def _check_embedding(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
-    w = orderly_cover(a, b)
+def _check_embedding(case: _Case, rng: SplitMix64) -> tuple[str, str]:
+    a, b, w = case.a, case.b, case.cover
     n = w.k + 2
     emb = cover_embedding(a, b, w, n)
     if not verify_embedding(emb):
@@ -230,7 +239,7 @@ def _induced(g: FiniteGraph, subset: Sequence[int]) -> FiniteGraph:
     return FiniteGraph([g.vertices[v] for v in subset], edges)
 
 
-def _check_chi_oracle(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
+def _check_chi_oracle(case: _Case, rng: SplitMix64) -> tuple[str, str]:
     g = _random_graph(rng)
     res = chromatic_number(g)
     if not res.exact:
@@ -243,7 +252,7 @@ def _check_chi_oracle(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]
     return _ok()
 
 
-def _check_coloring_calculus(a, b, rng: SplitMix64, caps: SuiteCaps) -> tuple[str, str]:
+def _check_coloring_calculus(case: _Case, rng: SplitMix64) -> tuple[str, str]:
     g = _random_graph(rng)
     left = list(range(0, g.n, 2))
     right = list(range(1, g.n, 2))
@@ -284,6 +293,7 @@ _CHECK_FNS = {
     "chi-oracle": _check_chi_oracle,
     "coloring-calculus": _check_coloring_calculus,
 }
+CHECKS = tuple(_CHECK_FNS)
 
 
 def run_case(stream_seed: int, caps: SuiteCaps, only: Iterable[str] | None = None) -> dict:
@@ -298,13 +308,14 @@ def run_case(stream_seed: int, caps: SuiteCaps, only: Iterable[str] | None = Non
     unknown = wanted - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    case = _Case(a, b)
     results = {}
     for idx, key in enumerate(CHECKS, start=1):
         if key not in wanted:
             continue
         rng = SplitMix64(case_seed(stream_seed, idx))
         try:
-            outcome, detail = _CHECK_FNS[key](a, b, rng, caps)
+            outcome, detail = _CHECK_FNS[key](case, rng)
         except Exception as exc:
             outcome, detail = "fail", f"{type(exc).__name__}: {exc}"
         results[key] = (outcome, detail)
@@ -354,8 +365,9 @@ def run_suite(
 ) -> SuiteReport:
     """Run count seeded cases; identical arguments give identical reports.
 
-    Cases use independent derived seeds and are aggregated in index order, so
-    the worker count never changes the outcome.
+    With workers > 1 the cases run in that many processes. Cases use
+    independent derived seeds and are aggregated in index order, so the worker
+    count never changes the outcome.
     """
     if count < 0:
         raise ValueError("need count >= 0")
@@ -366,14 +378,17 @@ def run_suite(
     if not selected:
         raise ValueError("no checks selected")
 
-    def one(i: int) -> dict:
-        return run_case(case_seed(seed, i), caps, selected)
-
+    workers = min(workers, count)  # no more processes than cases
     if workers <= 1:
-        outcomes = [one(i) for i in range(count)]
+        outcomes = [run_case(case_seed(seed, i), caps, selected) for i in range(count)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(count)))
+        # Imported here, so that `import otglab` does not load concurrent.futures.
+        from concurrent.futures import ProcessPoolExecutor
+
+        seeds = [case_seed(seed, i) for i in range(count)]
+        chunk = -(-count // workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_case, seeds, repeat(caps), repeat(selected), chunksize=chunk))
 
     tallies = {k: {"pass": 0, "fail": 0, "skip": 0} for k in selected}
     failures = []
@@ -391,6 +406,8 @@ def embedding_sweep(seed: int, count: int, caps: SuiteCaps | None = None) -> dic
     Letter counts 3, 4, 5 are attempted whenever they exceed the witness
     depth; the report counts built instances and any failures.
     """
+    if count < 0:
+        raise ValueError("need count >= 0")
     caps = caps or SuiteCaps()
     instances = 0
     failures = []

@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from otglab import graph_from_json, shift_graph
+from otglab import LexFrame, graph_from_json, shift_graph
 
 RUN = [sys.executable, "-m", "otglab"]
 
@@ -200,6 +200,13 @@ def test_suite_sweep():
     assert doc["ok"] is True
 
 
+def test_suite_sweep_negative_count_is_usage_error():
+    res = run_cli("suite", "--sweep", "--count", "-2")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == ["error: need count >= 0"]
+
+
 def test_verify_embedding_document(tmp_path):
     res = run_cli("embed", "--a", "0,1", "--b", "1,2", "--N", "4")
     path = tmp_path / "emb.json"
@@ -215,6 +222,21 @@ def test_verify_embedding_document(tmp_path):
     check2 = run_cli("verify", str(bad))
     assert check2.returncode == 1
     assert json.loads(check2.stdout)["ok"] is False
+
+
+def test_verify_accepts_embedding_with_digit_images(tmp_path):
+    # Embedding documents once carried each image in digit form as well; they still verify.
+    res = run_cli("embed", "--a", "0,2", "--b", "1,3", "--N", "4")
+    doc = json.loads(res.stdout)
+    assert all(set(img) == {"values"} for img in doc["images"])
+    frame = LexFrame(tuple(doc["frame"]))
+    for img in doc["images"]:
+        img["digits"] = [list(frame.decode(v)) for v in img["values"]]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    check = run_cli("verify", str(path))
+    assert check.returncode == 0
+    assert json.loads(check.stdout) == {"kind": "embedding", "ok": True}
 
 
 def test_verify_cover_document(tmp_path):

@@ -229,8 +229,15 @@ def test_verify_homomorphism_mode_checks():
 
 def test_verify_homomorphism_range_error():
     g = shift_graph(2, 3)
-    with pytest.raises(ValueError):
-        verify_homomorphism([0, 1, 99], g, g)
+    d = lshift_digraph(2, 3)
+    for check, src, dst in (
+        (verify_homomorphism, g, g),
+        (verify_homomorphism, d, d),
+        (verify_strong_homomorphism, g, g),
+    ):
+        for f in ([0, 1, 99], {0: 0, 1: -1, 2: 2}):
+            with pytest.raises(ValueError, match=r"^image vertex (99|-1) out of range$"):
+                check(f, src, dst)
 
 
 def test_strong_homomorphism_reflects_edges():

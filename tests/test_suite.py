@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from otglab.rng import case_seed
+import otglab.decompose
+import otglab.suite
+from otglab.oracles import closure_oracle
+from otglab.rng import SplitMix64, case_seed, random_pair
 from otglab.suite import (
     CHECKS,
     DECOMP_CHECKS,
@@ -52,13 +57,17 @@ def test_run_suite_subset():
 
 
 def test_worker_count_never_changes_the_report():
-    one = run_suite(11, 40, workers=1)
-    four = run_suite(11, 40, workers=4)
-    assert one.to_json() == four.to_json()
-    assert one.to_table() == four.to_table()
-    assert json.dumps(one.to_json(), sort_keys=True) == json.dumps(
-        four.to_json(), sort_keys=True
-    )
+    for seed, count, workers, only, caps in (
+        (11, 40, 4, None, None),
+        (11, 40, 2, DECOMP_CHECKS, SuiteCaps(16, 64)),
+    ):
+        one = run_suite(seed, count, caps, workers=1, only=only)
+        many = run_suite(seed, count, caps, workers=workers, only=only)
+        assert one.to_json() == many.to_json()
+        assert one.to_table() == many.to_table()
+        assert json.dumps(one.to_json(), sort_keys=True) == json.dumps(
+            many.to_json(), sort_keys=True
+        )
 
 
 def test_same_seed_same_report():
@@ -112,3 +121,71 @@ def test_embedding_sweep_clean():
 
 def test_embedding_sweep_deterministic():
     assert embedding_sweep(9, 25) == embedding_sweep(9, 25)
+
+
+def test_embedding_sweep_rejects_negative_count():
+    with pytest.raises(ValueError, match=r"^need count >= 0$"):
+        embedding_sweep(7, -2)
+
+
+def test_run_case_decomposes_its_pair_once(monkeypatch):
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(a, b, *rest):
+            calls.append((name, tuple(a), tuple(b)))
+            return real(a, b, *rest)
+
+        return wrapper
+
+    for name in ("orderly_cover", "convex_closure"):
+        monkeypatch.setattr(otglab.suite, name, counting(otglab.suite, name))
+    monkeypatch.setattr(otglab.decompose, "convex_closure", counting(otglab.decompose, "convex_closure"))
+    caps = SuiteCaps()
+    for i in range(30):
+        stream_seed = case_seed(7, i)
+        pair = random_pair(SplitMix64(case_seed(stream_seed, 0)), caps.max_len, caps.value_bound)
+        if len(closure_oracle(*pair)) == 1:
+            continue  # the orderly-oracle check's own is_k_orderly closes this pair again
+        calls.clear()
+        case = run_case(stream_seed, caps)
+        assert all(outcome != "fail" for outcome, _ in case["results"].values())
+        own = [name for name, a, b in calls if (a, b) == pair]
+        assert own.count("orderly_cover") == 1
+        assert own.count("convex_closure") <= 2
+
+
+# The checks that read each case fact, keyed by the function that builds it.
+FACT_READERS = {
+    "convex_closure": {"sign-purity", "class-separation", "closure-confluence", "block-shift", "zeta-chain"},
+    "analyze_class": {"block-shift", "zeta-chain"},
+    "orderly_cover": {"cover-verifies", "orderly-oracle", "embedding"},
+}
+
+
+def test_failing_fact_fails_only_its_readers(monkeypatch):
+    caps = SuiteCaps()
+    stream_seed = case_seed(7, 3)
+    clean = run_case(stream_seed, caps)["results"]
+    assert all(outcome != "fail" for outcome, _ in clean.values())
+
+    def boom(*args):
+        raise RuntimeError("fact unavailable")
+
+    for name, readers in FACT_READERS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(otglab.suite, name, boom)
+            results = run_case(stream_seed, caps)["results"]
+        for key in CHECKS:
+            if key in readers:
+                assert results[key] == ("fail", "RuntimeError: fact unavailable"), (name, key)
+            else:
+                assert results[key] == clean[key], (name, key)
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    code = "import sys, otglab; print('concurrent.futures' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -9,7 +9,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-from otglab.decompose import decomposition_report
+from otglab.decompose import PLUS, analyze_class, convex_closure, decomposition_report, orderly_cover
+from otglab.embedding import cover_embedding, lemma_embedding
 from otglab.rng import SplitMix64, case_seed, random_pair
 from otglab.suite import embedding_sweep, run_suite
 
@@ -26,6 +27,7 @@ GOLDEN = {
     "run_suite(7, 400)": "6888d0170c750f45705da1cbad92b19349d0aac7aa8dfd48eaf8c547deb2e738",
     "embedding_sweep(7, 200)": "eb9e6dc83fab5362e6c28842e0e307f0c54f02438d2572d06c2d73bdf7503766",
     "decomposition_report corpus": "d8bc581837c11aaf74c919d77deeb0a8bf33ee8d46c719e7436dc3c0a536ecc5",
+    "embedding corpus": "02b88e3ca67e29cc01edaacbee9e9005cd4eff31e195e4e946825875934a366a",
 }
 
 
@@ -44,10 +46,49 @@ def _report_corpus() -> list:
     return out
 
 
+def _subset(rng: SplitMix64, size: int, bound: int) -> tuple[int, ...]:
+    chosen: set[int] = set()
+    while len(chosen) < size:
+        chosen.add(rng.below(bound))
+    return tuple(sorted(chosen))
+
+
+def _attempt(build, *args):
+    try:
+        return build(*args).to_json()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _embedding_corpus() -> list:
+    """Cover embeddings at n = k + 1 and k + 2, plus lemma embeddings of single plus classes.
+
+    The pairs are seeded random_pair draws and dense pairs: two uniform
+    L-subsets of range(L + L // 2), L = 4..14, which give deep ladders.
+    """
+    pairs = [random_pair(SplitMix64(case_seed(2026, i)), 4 + i % 9, 16 + i % 32) for i in range(400)]
+    rng = SplitMix64(2027)
+    for i in range(220):
+        size = 4 + i % 11
+        a, b = _subset(rng, size, size + size // 2), _subset(rng, size, size + size // 2)
+        if a != b:
+            pairs.append((a, b))
+    out = []
+    for a, b in pairs:
+        w = orderly_cover(a, b)
+        out.extend(_attempt(cover_embedding, a, b, w, n) for n in (w.k + 1, w.k + 2))
+        classes = convex_closure(a, b)
+        if len(classes) == 1 and classes[0].sign == PLUS:
+            an = analyze_class(a, b, classes[0])
+            out.extend(_attempt(lemma_embedding, a, b, an.depth, an.blocks, n) for n in (an.depth + 1, an.depth + 2))
+    return out
+
+
 def test_golden_digests():
     got = {
         "run_suite(7, 400)": _digest(run_suite(7, 400).to_json()),
         "embedding_sweep(7, 200)": _digest(embedding_sweep(7, 200)),
         "decomposition_report corpus": _digest(_report_corpus()),
+        "embedding corpus": _digest(_embedding_corpus()),
     }
     assert got == GOLDEN

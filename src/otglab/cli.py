@@ -138,8 +138,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     w = orderly_cover(args.a, args.b)
-    if args.N <= w.k:
-        raise ValueError(f"need --N above the witness depth {w.k}")
     emb = cover_embedding(args.a, args.b, w, args.N)
     doc = emb.to_json()
     doc["cover"] = w.to_json()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .decompose import Block, CoverWitness, shift_levels, verify_cover
@@ -207,6 +208,40 @@ def verify_embedding(emb: EmbeddingMap, pattern: OrderTypePattern | None = None)
     )
 
 
+def _ladder_columns(frame: LexFrame, head: tuple[int, ...], maps: LevelMaps, swapped: bool = False) -> list:
+    """Columns (base, step, slot) of one ladder piece whose letter digit follows head.
+
+    Only the letter depends on the vertex: each base is one frame encode and
+    step is the letter's weight. Swapped pieces read letters as n - 1 - x, reversed.
+    """
+    step = prod(frame.radices[len(head) + 1 :])
+    sign, letter = (-1, frame.radices[len(head)] - 1) if swapped else (1, 0)
+    pad = (0,) * (len(frame.radices) - len(head) - 1 - maps.k)
+    columns = []
+    for beta in range(len(maps.level_index)):
+        lv = maps.level_of(beta)
+        base = frame.encode(head + (letter,) + maps.digits(beta) + pad)
+        columns.append((base, sign * step, maps.k - 1 - lv if swapped else lv))
+    return columns
+
+
+def _assemble(
+    source: FiniteGraph | FiniteDigraph, frame: LexFrame, pattern: OrderTypePattern, columns: list
+) -> EmbeddingMap:
+    """Image coordinate j of vertex eta is base_j + step_j * eta[slot_j]; every edge or arc is checked."""
+    cap = frame.size - 1
+    images = tuple(
+        IncreasingTuple(
+            [base + step * eta[slot] for base, step, slot in columns], max_len=len(columns), max_value=cap
+        )
+        for eta in source.vertices
+    )
+    emb = EmbeddingMap(source, frame, images, pattern)
+    if not verify_embedding(emb, pattern):
+        raise EmbeddingError("constructed images fail the pattern check")
+    return emb
+
+
 def lemma_embedding(
     a: Sequence[int], b: Sequence[int], k: int, blocks: Sequence[Block], n: int
 ) -> EmbeddingMap:
@@ -217,22 +252,10 @@ def lemma_embedding(
     star digits into one lex frame value.
     """
     if n <= k:
-        raise EmbeddingError("need more letters than the shift order")
+        raise ValueError(f"need more letters than the shift order: n = {n} <= k = {k}")
     maps = build_level_maps(a, b, k, blocks)
-    pattern = otp(a, b)
     frame = LexFrame((n,) + (maps.star.size,) * k)
-    source = lshift_digraph(k, n)
-    images = []
-    for eta in source.vertices:
-        coords = []
-        for beta in range(len(a)):
-            lv = maps.level_of(beta)
-            coords.append(frame.encode((eta[lv],) + maps.digits(beta)))
-        images.append(IncreasingTuple(coords, max_len=len(a), max_value=frame.size - 1))
-    emb = EmbeddingMap(source, frame, tuple(images), pattern)
-    if not verify_embedding(emb, pattern):
-        raise EmbeddingError("constructed images fail the arc pattern check")
-    return emb
+    return _assemble(lshift_digraph(k, n), frame, otp(a, b), _ladder_columns(frame, (), maps))
 
 
 def cover_embedding(a: Sequence[int], b: Sequence[int], w: CoverWitness, n: int) -> EmbeddingMap:
@@ -246,42 +269,14 @@ def cover_embedding(a: Sequence[int], b: Sequence[int], w: CoverWitness, n: int)
         raise EmbeddingError("cover witness does not verify")
     k = w.k
     if n <= k:
-        raise EmbeddingError("need more letters than the shift order")
-    pattern = otp(a, b)
-    star_size = 2 * len(a) + 1
-    frame = LexFrame((len(a), n) + (star_size,) * k)
-    source = shift_graph(k, n)
-
-    piece_maps = []
-    for p in w.pieces:
-        sub_a = tuple(a[i] for i in p.indices)
-        sub_b = tuple(b[i] for i in p.indices)
+        raise ValueError(f"need more letters than the shift order: n = {n} <= k = {k}")
+    frame = LexFrame((len(a), n) + (StarOrder(len(a)).size,) * k)
+    columns = []
+    for pi, p in enumerate(w.pieces):
         if p.kind == "equal":
-            piece_maps.append(None)
-        elif p.kind == "A":
-            piece_maps.append(build_level_maps(sub_a, sub_b, p.k, p.blocks))
-        else:
-            piece_maps.append(build_level_maps(sub_b, sub_a, p.k, p.blocks))
-
-    pad = (0,) * k
-    images = []
-    for eta in source.vertices:
-        coords = []
-        for pi, p in enumerate(w.pieces):
-            maps = piece_maps[pi]
-            if maps is None:
-                coords.append(frame.encode((pi, 0) + pad))
-                continue
-            if p.kind == "A":
-                letters = eta[: p.k]
-            else:
-                letters = tuple(n - 1 - x for x in reversed(eta[: p.k]))
-            for local in range(p.hi - p.lo + 1):
-                lv = maps.level_of(local)
-                digits = maps.digits(local) + pad[: k - p.k]
-                coords.append(frame.encode((pi, letters[lv]) + digits))
-        images.append(IncreasingTuple(coords, max_len=len(a), max_value=frame.size - 1))
-    emb = EmbeddingMap(source, frame, tuple(images), pattern)
-    if not verify_embedding(emb, pattern):
-        raise EmbeddingError("constructed images fail the edge pattern check")
-    return emb
+            columns.append((frame.encode((pi, 0) + (0,) * k), 0, 0))
+            continue
+        sub = tuple(a[i] for i in p.indices), tuple(b[i] for i in p.indices)
+        lo_t, hi_t = sub if p.kind == "A" else sub[::-1]
+        columns += _ladder_columns(frame, (pi,), build_level_maps(lo_t, hi_t, p.k, p.blocks), p.kind == "B")
+    return _assemble(shift_graph(k, n), frame, otp(a, b), columns)

@@ -368,6 +368,9 @@ def run_suite(
     With workers > 1 the cases run in that many processes. Cases use
     independent derived seeds and are aggregated in index order, so the worker
     count never changes the outcome.
+    The pool uses the platform's default start method; under spawn or
+    forkserver (macOS, Windows, Linux from Python 3.14) a calling script needs
+    an `if __name__ == "__main__":` guard, and 100 cases ran slower than serial.
     """
     if count < 0:
         raise ValueError("need count >= 0")

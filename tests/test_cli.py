@@ -166,6 +166,13 @@ def test_embed_equal_pair_errors():
     assert res.returncode == 2
 
 
+def test_embed_too_few_letters_is_usage_error():
+    res = run_cli("embed", "--a", "0,1", "--b", "1,2", "--N", "2")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == ["error: need more letters than the shift order: n = 2 <= k = 2"]
+
+
 def test_embed_bad_tuple_syntax():
     res = run_cli("embed", "--a", "0,,1", "--b", "1,2", "--N", "4")
     assert res.returncode == 2

@@ -16,6 +16,7 @@ from otglab import (
     lshift_digraph,
     orderly_cover,
     otp,
+    seqs,
     verify_embedding,
 )
 
@@ -115,8 +116,10 @@ def test_lemma_embedding_regression_pair():
 
 def test_lemma_embedding_needs_enough_letters():
     an = class_blocks((0, 1), (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n = 2 <= k = 2") as info:
         lemma_embedding((0, 1), (1, 2), 2, an.blocks, 2)
+    # too few letters is bad input, not a failed construction
+    assert not isinstance(info.value, EmbeddingError)
 
 
 def test_verify_embedding_rejects_perturbation():
@@ -189,8 +192,32 @@ def test_cover_embedding_mixed_kinds():
 def test_cover_embedding_needs_letters_above_depth():
     a, b = (0, 1), (1, 2)
     w = orderly_cover(a, b)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n = 2 <= k = 2") as info:
         cover_embedding(a, b, w, 2)
+    assert not isinstance(info.value, EmbeddingError)
+
+
+def test_one_frame_encode_per_image_column(monkeypatch):
+    # only the letter digit of a coordinate depends on the vertex, so a build
+    # encodes each column once, however many vertices the source has
+    calls = []
+    encode = seqs.LexFrame.encode
+
+    def counted(self, digits):
+        calls.append(digits)
+        return encode(self, digits)
+
+    monkeypatch.setattr(seqs.LexFrame, "encode", counted)
+    builds = [
+        lambda n: cover_embedding(DEEP_A, DEEP_B, orderly_cover(DEEP_A, DEEP_B), n),
+        lambda n: lemma_embedding((0, 1), (1, 2), 2, class_blocks((0, 1), (1, 2)).blocks, n),
+    ]
+    for build, width in zip(builds, (len(DEEP_A), 2)):
+        for n in (5, 7):
+            calls.clear()
+            emb = build(n)
+            assert len(emb.images) > width
+            assert len(calls) == width, (width, n)
 
 
 def test_embedding_json_round_trip():

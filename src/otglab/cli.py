@@ -1,4 +1,8 @@
-"""Command line front end: generate graphs, solve, decompose, embed, self-check, verify."""
+"""Command line front end: generate graphs, solve, decompose, embed, self-check, verify.
+
+Each command imports the otglab modules it uses when it runs, so a process
+loads only those.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +11,10 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
-from .coloring import Coloring, chromatic_number, verify_coloring
-from .decompose import CoverWitness, decomposition_report, orderly_cover, verify_cover
-from .embedding import EmbeddingError, EmbeddingMap, cover_embedding, verify_embedding
-from .graphs import (
-    FiniteDigraph,
-    FiniteGraph,
-    graph_from_json,
-    lshift_digraph,
-    order_type_graph,
-    rshift_digraph,
-    shift_graph,
-)
-from .seqs import otp
-from .suite import CHECKS, SuiteCaps, embedding_sweep, run_suite
+if TYPE_CHECKING:
+    from .graphs import FiniteDigraph, FiniteGraph
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -40,6 +33,8 @@ def _tuple_arg(text: str) -> tuple[int, ...]:
 
 
 def _checks_arg(text: str) -> tuple[str, ...]:
+    from .suite import CHECKS
+
     keys = tuple(p.strip() for p in text.split(",") if p.strip())
     bad = [k for k in keys if k not in CHECKS]
     if bad:
@@ -52,6 +47,8 @@ def _dump(doc: dict) -> str:
 
 
 def _graph_table(g: FiniteGraph | FiniteDigraph) -> str:
+    from .graphs import FiniteDigraph
+
     directed = isinstance(g, FiniteDigraph)
     bond = "->" if directed else "--"
     links = g.arcs if directed else g.edges
@@ -83,6 +80,9 @@ def _budget(args: argparse.Namespace) -> int | None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .graphs import lshift_digraph, order_type_graph, rshift_digraph, shift_graph
+    from .seqs import otp
+
     if args.family == "sh":
         g = shift_graph(args.r, args.n)
     elif args.family == "lsh":
@@ -96,6 +96,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_chi(args: argparse.Namespace) -> int:
+    from .coloring import chromatic_number
+    from .graphs import FiniteDigraph, graph_from_json, shift_graph
+
     if args.input:
         doc = _load_object(args.input)
         with _schema("graph"):
@@ -117,6 +120,8 @@ def cmd_chi(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .decompose import decomposition_report
+
     report = decomposition_report(args.a, args.b)
     if args.format == "json":
         print(_dump(report))
@@ -137,6 +142,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
+    from .decompose import orderly_cover
+    from .embedding import cover_embedding
+
     w = orderly_cover(args.a, args.b)
     emb = cover_embedding(args.a, args.b, w, args.N)
     doc = emb.to_json()
@@ -151,6 +159,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
+    from .suite import SuiteCaps, embedding_sweep, run_suite
+
     caps = SuiteCaps(args.max_len, args.value_bound)
     if args.sweep:
         doc = embedding_sweep(args.seed, args.count, caps)
@@ -187,11 +197,15 @@ def _load_object(path: str) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = _load_object(args.file)
     if "images" in doc:
+        from .embedding import EmbeddingMap, verify_embedding
+
         kind = "embedding"
         with _schema(kind):
             emb = EmbeddingMap.from_json(doc)
         ok = verify_embedding(emb)
     elif "cover" in doc and "a" in doc and "b" in doc:
+        from .decompose import CoverWitness, verify_cover
+
         kind = "cover"
         with _schema(kind):
             w = CoverWitness.from_json(doc["cover"])
@@ -200,6 +214,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("malformed cover document: a and b must hold integers")
         ok = verify_cover(a, b, w)
     elif "graph" in doc and "coloring" in doc:
+        from .coloring import Coloring, verify_coloring
+        from .graphs import FiniteDigraph, graph_from_json
+
         kind = "coloring"
         with _schema(kind):
             g = graph_from_json(doc["graph"])
@@ -279,17 +296,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EmbeddingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # An EmbeddingError is a construction failing its own check; one can
+        # only have been raised if the embedding module is loaded.
+        embedding = sys.modules.get(f"{__package__}.embedding")
+        if embedding is not None and isinstance(exc, embedding.EmbeddingError):
+            return EXIT_VERIFY
         return EXIT_USAGE
 
 

@@ -7,7 +7,7 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import FiniteGraph, order_type_graph, verify_homomorphism, verify_strong_homomorphism
-from .seqs import OrderTypePattern
+from .seqs import OrderTypePattern, json_ints
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,8 @@ class Coloring:
 
     @classmethod
     def from_json(cls, data: dict) -> "Coloring":
-        return cls(tuple(data["colors"]), int(data["palette"]))
+        (palette,) = json_ints([data["palette"]], "palette")
+        return cls(json_ints(data["colors"], "colors"), palette)
 
 
 def verify_coloring(g: FiniteGraph, c: Coloring) -> bool:

@@ -7,8 +7,8 @@ from math import prod
 from typing import Sequence
 
 from .decompose import Block, CoverWitness, shift_levels, verify_cover
-from .graphs import FiniteDigraph, FiniteGraph, lshift_digraph, shift_graph
-from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, otp
+from .graphs import FiniteDigraph, FiniteGraph, graph_from_json, lshift_digraph, shift_graph
+from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, json_ints, otp
 
 
 class EmbeddingError(ValueError):
@@ -179,15 +179,15 @@ class EmbeddingMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "EmbeddingMap":
-        from .graphs import graph_from_json
-
-        frame = LexFrame(tuple(data["frame"]))
+        frame = LexFrame(json_ints(data["frame"], "frame radices"))
         source = graph_from_json(data["source"])
-        images = tuple(
-            IncreasingTuple(entry["values"], max_len=len(entry["values"]), max_value=frame.size - 1)
-            for entry in data["images"]
-        )
-        return cls(source, frame, images, OrderTypePattern.from_json(data["pattern"]))
+        images = []
+        for entry in data["images"]:
+            values = json_ints(entry["values"], "image values")
+            images.append(IncreasingTuple(values, max_len=len(values), max_value=frame.size - 1))
+        pattern = data["pattern"]
+        json_ints([pattern["n"], *pattern["ra"], *pattern["rb"]], "pattern fields")
+        return cls(source, frame, tuple(images), OrderTypePattern.from_json(pattern))
 
 
 def verify_embedding(emb: EmbeddingMap, pattern: OrderTypePattern | None = None) -> bool:

@@ -223,6 +223,8 @@ def order_type_graph(pattern: OrderTypePattern, theta: int) -> FiniteGraph:
     """Graph on increasing tuples over 0..theta-1: adjacency = realizing the pattern either way."""
     if not pattern.irreflexive:
         raise ValueError("pattern not irreflexive (identical rank rows)")
+    if theta < 0:
+        raise ValueError("theta must be >= 0")
     return FiniteGraph(*_pattern_links(pattern.ranks_a, pattern.ranks_b, theta))
 
 

@@ -84,6 +84,15 @@ class OrderTypePattern:
         return cls(int(data["n"]), tuple(data["ra"]), tuple(data["rb"]))
 
 
+def json_ints(values: Iterable, what: str) -> tuple:
+    """The values as a tuple, provided each is a JSON integer (an int, not a bool or float)."""
+    vals = tuple(values)
+    for v in vals:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be JSON integers, got {v!r}")
+    return vals
+
+
 def otp(c: Iterable[int], d: Iterable[int]) -> OrderTypePattern:
     """Order type of the pair (c, d): ranks of each entry in the merged value set."""
     cs, ds = tuple(c), tuple(d)

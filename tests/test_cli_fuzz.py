@@ -1,0 +1,169 @@
+"""`otg` driven in-process over malformed arguments and documents: exit codes and one-line errors."""
+
+from __future__ import annotations
+
+import copy
+import json
+import random
+
+import pytest
+
+import otglab.embedding
+from otglab import chromatic_number, cli, cover_embedding, decomposition_report, orderly_cover, shift_graph
+
+
+def run_main(capsys, argv):
+    """Run cli.main; returns (exit code, stdout, stderr lines, whether argparse accepted argv)."""
+    try:
+        code, parsed = cli.main([str(a) for a in argv]), True
+    except SystemExit as exc:  # argparse rejects the arguments before main's handlers run
+        code, parsed = exc.code, False
+    except Exception as exc:
+        pytest.fail(f"otg {argv} raised {exc!r}")
+    out = capsys.readouterr()
+    return code, out.out, out.err.strip().splitlines(), parsed
+
+
+def assert_clean_exit(capsys, argv):
+    code, out, err, parsed = run_main(capsys, argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code == 2:
+        assert out == "", argv
+        if parsed:
+            assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        else:
+            # argparse prints its usage block, then one error line.
+            assert [line for line in err if "error:" in line] == err[-1:], (argv, err)
+    return code
+
+
+BAD_ARGV = [
+    ["gen", "otg", "--a", "0,,1", "--b", "1,2", "--theta", "3"],
+    ["gen", "otg", "--a", "0,1.5", "--b", "1,2", "--theta", "3"],
+    ["gen", "otg", "--a", "1,0", "--b", "1,2", "--theta", "3"],
+    ["gen", "otg", "--a", "0,1", "--b", "2", "--theta", "3"],
+    ["gen", "otg", "--a", "0,1", "--b", "0,1", "--theta", "3"],
+    ["gen", "otg", "--a", "0,1", "--b", "2,3", "--theta", "-1"],
+    ["gen", "sh", "--r", "0", "--n", "3"],
+    ["gen", "sh", "--r", "2.5", "--n", "3"],
+    ["gen", "rsh", "--k", "3", "--n", "1"],
+    ["chi", "--r", "2"],
+    ["chi", "--r", "2", "--n", "5", "--budget", "-1"],
+    ["chi", "--input", "/no/such/graph.json"],
+    ["decompose", "--a", "3,1", "--b", "0,2"],
+    ["decompose", "--a", "0,1", "--b", "0,1,2"],
+    ["decompose", "--a", ",", "--b", "1"],
+    ["embed", "--a", "0,1", "--b", "1,2", "--N", "-5"],
+    ["embed", "--a", "0,1", "--b", "0,1", "--N", "3"],
+    ["embed", "--a", "0,1", "--b", "1,2", "--N", "x"],
+    ["suite", "--count", "-1"],
+    ["suite", "--only", ","],
+    ["suite", "--count", "1", "--value-bound", "0"],
+    ["frobnicate"],
+]
+
+# Values a mutated document field may take: wrong types, fractions, out of range.
+JUNK = [1.5, True, None, "x", [], {}, -1, 2**70, [1.5], [[0]], {"k": 1}]
+
+
+def valid_documents() -> list[dict]:
+    a, b = (0, 1, 3), (1, 2, 4)
+    g = shift_graph(2, 5)
+    witness = chromatic_number(g).to_json()["witness"]
+    return [
+        cover_embedding(a, b, orderly_cover(a, b), 4).to_json(),
+        decomposition_report((0, 2, 4), (1, 3, 5)),
+        {"graph": g.to_json(), "coloring": {"palette": max(witness) + 1, "colors": witness}},
+    ]
+
+
+def paths(node, prefix=()):
+    """Every path into a JSON tree, looking at no more than 3 entries of each list."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:3])
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def mutate(doc: dict, rng: random.Random) -> dict:
+    doc = copy.deepcopy(doc)
+    path = rng.choice(list(paths(doc)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if isinstance(node, dict) and rng.random() < 0.2:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(rng.choice(JUNK))
+    return doc
+
+
+def test_cli_fuzz_exits_cleanly(capsys, tmp_path):
+    for argv in BAD_ARGV + [["verify", tmp_path], ["chi", "--input", tmp_path]]:
+        assert_clean_exit(capsys, argv)
+    rng = random.Random(2103_13931)
+    docs = valid_documents()
+    path = tmp_path / "doc.json"
+    codes = []
+    for _ in range(30):
+        path.write_text(json.dumps(mutate(rng.choice(docs), rng)))
+        codes.append(assert_clean_exit(capsys, ["verify", path]))
+    # The corpus reaches both the usage-error and the verdict paths.
+    assert 2 in codes and {0, 1} & set(codes)
+
+
+def test_directory_input_is_usage_error(capsys, tmp_path):
+    for argv in (["verify", tmp_path], ["chi", "--input", tmp_path]):
+        code, out, err, _ = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert len(err) == 1 and "Is a directory" in err[0]
+
+
+def test_embedding_error_exits_1(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise otglab.embedding.EmbeddingError("constructed images fail the pattern check")
+
+    monkeypatch.setattr(otglab.embedding, "cover_embedding", fail)
+    code, out, err, _ = run_main(capsys, ["embed", "--a", "0,1", "--b", "1,2", "--N", "4"])
+    assert (code, out, err) == (1, "", ["error: constructed images fail the pattern check"])
+
+
+def test_negative_theta_is_usage_error(capsys):
+    code, out, err, _ = run_main(capsys, ["gen", "otg", "--a", "0,1", "--b", "2,3", "--theta", "-1"])
+    assert (code, out, err) == (2, "", ["error: theta must be >= 0"])
+
+
+def embedding_doc(a=(0, 1), b=(1, 2)) -> dict:
+    return cover_embedding(a, b, orderly_cover(a, b), 4).to_json()
+
+
+def truncated_documents():
+    """Documents that verified as their truncated selves when numbers went through int()."""
+    emb = embedding_doc()
+    frac = copy.deepcopy(emb)
+    frac["images"][0]["values"][-1] += 0.9
+    ones = embedding_doc((0, 2), (1, 3))
+    assert ones["images"][0]["values"][0] == 1
+    ones["images"][0]["values"][0] = True
+    radix = copy.deepcopy(emb)
+    radix["frame"][0] += 0.5
+    edge = {"vertices": [[0], [1]], "edges": [[0, 1]]}
+    coloring = {"graph": edge, "coloring": {"colors": [0, 1.5], "palette": 2}}
+    return [(frac, "image values"), (ones, "image values"), (radix, "frame radices"), (coloring, "colors")]
+
+
+def test_verify_rejects_non_integer_numbers(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    for doc, field in truncated_documents():
+        path.write_text(json.dumps(doc))
+        code, out, err, _ = run_main(capsys, ["verify", path])
+        assert (code, out) == (2, ""), field
+        assert len(err) == 1 and err[0].startswith(f"error: {field} must be JSON integers"), err
+    path.write_text(json.dumps(embedding_doc()))
+    code, out, _, _ = run_main(capsys, ["verify", path])
+    assert (code, json.loads(out)) == (0, {"kind": "embedding", "ok": True})

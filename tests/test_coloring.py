@@ -62,6 +62,20 @@ def test_coloring_json_round_trip():
     assert Coloring.from_json(doc) == c
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"colors": [0, 1.5], "palette": 2}, "colors"),
+        ({"colors": [0, True], "palette": 2}, "colors"),
+        ({"colors": [0, 1], "palette": 2.7}, "palette"),
+        ({"colors": [0, 1], "palette": "2"}, "palette"),
+    ],
+)
+def test_coloring_from_json_takes_only_json_integers(doc, field):
+    with pytest.raises(ValueError, match=f"^{field} must be JSON integers"):
+        Coloring.from_json(doc)
+
+
 def test_greedy_coloring_proper_and_bounded():
     import random
 

@@ -232,6 +232,28 @@ def test_embedding_json_round_trip():
     assert verify_embedding(back)
 
 
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("images", 0, "values", 0), 0.5, "image values"),
+        (("images", 0, "values", 0), True, "image values"),
+        (("images", 0, "values", 0), "3", "image values"),
+        (("frame", 0), 2.5, "frame radices"),
+        (("pattern", "n"), 2.0, "pattern fields"),
+        (("pattern", "rb", 0), 1.0, "pattern fields"),
+    ],
+)
+def test_embedding_from_json_takes_only_json_integers(path, value, field):
+    doc = cover_embedding((0, 1), (1, 2), orderly_cover((0, 1), (1, 2)), 4).to_json()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^{field} must be JSON integers") as info:
+        EmbeddingMap.from_json(doc)
+    assert not isinstance(info.value, EmbeddingError)
+
+
 def test_embedding_images_are_increasing_and_injective():
     a, b = (0, 1, 3, 6), (2, 4, 5, 7)
     w = orderly_cover(a, b)

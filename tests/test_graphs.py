@@ -141,6 +141,12 @@ def test_order_type_graph_rejects_reflexive_pattern():
         order_type_graph(otp((0, 1), (0, 1)), 4)
 
 
+def test_order_type_graph_rejects_negative_theta():
+    with pytest.raises(ValueError, match="theta must be >= 0"):
+        order_type_graph(otp((0, 1), (2, 3)), -1)
+    assert order_type_graph(otp((0, 1), (2, 3)), 0).n == 0
+
+
 # The pattern graphs of the benchmark's `solve` workload.
 SOLVE_PATTERNS = (
     ((0, 1), (0, 2)),

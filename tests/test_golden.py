@@ -28,6 +28,7 @@ GOLDEN = {
     "embedding_sweep(7, 200)": "eb9e6dc83fab5362e6c28842e0e307f0c54f02438d2572d06c2d73bdf7503766",
     "decomposition_report corpus": "d8bc581837c11aaf74c919d77deeb0a8bf33ee8d46c719e7436dc3c0a536ecc5",
     "embedding corpus": "02b88e3ca67e29cc01edaacbee9e9005cd4eff31e195e4e946825875934a366a",
+    "embedding images": "deb9468b029a48dbe8282e88b7442cc032ed55a1400f646d64ee0b640e14424a",
 }
 
 
@@ -84,11 +85,20 @@ def _embedding_corpus() -> list:
     return out
 
 
+def _images(doc):
+    """An embedding document without its source graph: frame, pattern and image values; error texts as they are."""
+    if isinstance(doc, str):
+        return doc
+    return {"frame": doc["frame"], "pattern": doc["pattern"], "values": [img["values"] for img in doc["images"]]}
+
+
 def test_golden_digests():
+    embeddings = _embedding_corpus()
     got = {
         "run_suite(7, 400)": _digest(run_suite(7, 400).to_json()),
         "embedding_sweep(7, 200)": _digest(embedding_sweep(7, 200)),
         "decomposition_report corpus": _digest(_report_corpus()),
-        "embedding corpus": _digest(_embedding_corpus()),
+        "embedding corpus": _digest(embeddings),
+        "embedding images": _digest([_images(doc) for doc in embeddings]),
     }
     assert got == GOLDEN

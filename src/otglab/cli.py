@@ -182,7 +182,7 @@ def _schema(kind: str):
     """Report a document that parses as JSON but not as a `kind` as a usage error."""
     try:
         yield
-    except (KeyError, TypeError) as exc:
+    except (IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind} document: {type(exc).__name__}: {exc}") from None
 
 
@@ -205,13 +205,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok = verify_embedding(emb)
     elif "cover" in doc and "a" in doc and "b" in doc:
         from .decompose import CoverWitness, verify_cover
+        from .seqs import json_ints
 
         kind = "cover"
         with _schema(kind):
             w = CoverWitness.from_json(doc["cover"])
-            a, b = tuple(doc["a"]), tuple(doc["b"])
-        if not all(isinstance(v, int) for v in a + b):
-            raise ValueError("malformed cover document: a and b must hold integers")
+            a, b = json_ints(doc["a"], "a and b"), json_ints(doc["b"], "a and b")
         ok = verify_cover(a, b, w)
     elif "graph" in doc and "coloring" in doc:
         from .coloring import Coloring, verify_coloring

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
 
+from .seqs import json_bool, json_ints
+
 ZERO = "zero"
 PLUS = "plus"
 MINUS = "minus"
@@ -153,7 +155,8 @@ class Block:
 
     @classmethod
     def from_json(cls, data: dict) -> "Block":
-        return cls(int(data["lo"]), int(data["hi"]), bool(data["closed"]))
+        lo, hi = json_ints((data["lo"], data["hi"]), "block bounds")
+        return cls(lo, hi, json_bool(data["closed"], "block closed"))
 
 
 @dataclass(frozen=True)
@@ -352,13 +355,11 @@ class CoverPiece:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoverPiece":
-        return cls(
-            int(data["lo"]),
-            int(data["hi"]),
-            str(data["kind"]),
-            int(data["k"]),
-            tuple(Block.from_json(blk) for blk in data["blocks"]),
-        )
+        lo, hi, k = json_ints((data["lo"], data["hi"], data["k"]), "cover piece fields")
+        kind = data["kind"]
+        if type(kind) is not str:
+            raise ValueError(f"cover piece kind must be a JSON string, got {kind!r}")
+        return cls(lo, hi, kind, k, tuple(Block.from_json(blk) for blk in data["blocks"]))
 
 
 @dataclass(frozen=True)
@@ -371,7 +372,8 @@ class CoverWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoverWitness":
-        return cls(tuple(CoverPiece.from_json(p) for p in data["pieces"]), int(data["k"]))
+        (k,) = json_ints([data["k"]], "cover depth")
+        return cls(tuple(CoverPiece.from_json(p) for p in data["pieces"]), k)
 
 
 def _cover(classes: Sequence[ConvexClass], analyses: Sequence[ClassAnalysis]) -> CoverWitness:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 from typing import Sequence
 
 from .decompose import Block, CoverWitness, shift_levels, verify_cover
-from .graphs import FiniteDigraph, FiniteGraph, graph_from_json, lshift_digraph, shift_graph
-from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, json_ints, otp
+from .graphs import FiniteDigraph, FiniteGraph, lshift_digraph, shift_graph
+from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, json_bool, json_ints, otp
 
 
 class EmbeddingError(ValueError):
@@ -161,7 +161,12 @@ def _verify_level_maps(a: Sequence[int], b: Sequence[int], maps: LevelMaps) -> N
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    """Vertex images of a shift graph inside a lex frame, realizing a pattern."""
+    """Vertex images of a shift graph inside a lex frame, realizing a pattern.
+
+    The source is the k-shift graph on n letters (shift_graph) or its left-shift
+    orientation (lshift_digraph). A document names it by k, n and direction
+    rather than listing it, and reading the document builds it again.
+    """
 
     source: FiniteGraph | FiniteDigraph
     frame: LexFrame
@@ -169,25 +174,45 @@ class EmbeddingMap:
     pattern: OrderTypePattern
 
     def to_json(self) -> dict:
+        last = self.source.vertices[-1]
         return {
             "frame": list(self.frame.radices),
             "pattern": self.pattern.to_json(),
-            "source": self.source.to_json(),
+            "shift": {"k": len(last), "n": last[-1] + 1, "directed": isinstance(self.source, FiniteDigraph)},
             "images": [{"values": list(img)} for img in self.images],
             "verified": True,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "EmbeddingMap":
+        """Read a document, building its source from the shift graph it names.
+
+        A legacy document lists its source graph instead. It names the shift
+        graph of its vertex shape (k = tuple length, n = last letter + 1) and
+        loads only if it lists exactly that graph.
+        """
         frame = LexFrame(json_ints(data["frame"], "frame radices"))
-        source = graph_from_json(data["source"])
         images = []
         for entry in data["images"]:
             values = json_ints(entry["values"], "image values")
             images.append(IncreasingTuple(values, max_len=len(values), max_value=frame.size - 1))
-        pattern = data["pattern"]
-        json_ints([pattern["n"], *pattern["ra"], *pattern["rb"]], "pattern fields")
-        return cls(source, frame, tuple(images), OrderTypePattern.from_json(pattern))
+        if "shift" in data:
+            shift = data["shift"]
+            k, n, directed = shift["k"], shift["n"], shift["directed"]
+        else:
+            vertices = data["source"]["vertices"]
+            k, n, directed = len(vertices[-1]), vertices[-1][-1] + 1, "arcs" in data["source"]
+        k, n = json_ints((k, n), "shift k and n")
+        directed = json_bool(directed, "shift directed")
+        if not 0 < k < n:
+            raise ValueError(f"a shift graph needs 0 < k < n, got k = {k}, n = {n}")
+        # 1 <= k < n gives n <= C(n, k), so the first test keeps comb() as small as the document.
+        if n > len(images) or comb(n, k) != len(images):
+            raise ValueError(f"{len(images)} images, not one per increasing {k}-tuple over {n} letters")
+        source = (lshift_digraph if directed else shift_graph)(k, n)
+        if "shift" not in data and data["source"] != source.to_json():
+            raise ValueError(f"legacy source graph is not the {k}-shift graph on {n} letters its vertices name")
+        return cls(source, frame, tuple(images), OrderTypePattern.from_json(data["pattern"]))
 
 
 def verify_embedding(emb: EmbeddingMap, pattern: OrderTypePattern | None = None) -> bool:

@@ -245,25 +245,18 @@ def _as_map(f, n_src: int, n_dst: int) -> list[int]:
     return out
 
 
-def verify_homomorphism(f, src, dst, mode: str | None = None) -> bool:
+def verify_homomorphism(f, src, dst) -> bool:
     """Check that f sends every source edge (arc) to a target edge (arc).
 
-    mode "graph" or "digraph" may force an interpretation; by default it is
-    inferred from the argument types, which must agree.
+    Both graphs must be undirected, or both directed.
     """
-    if mode is None:
-        mode = "digraph" if isinstance(src, FiniteDigraph) else "graph"
-    if mode == "graph":
-        if not (isinstance(src, FiniteGraph) and isinstance(dst, FiniteGraph)):
-            raise ValueError("graph mode needs two undirected graphs")
-        mapping = _as_map(f, src.n, dst.n)
-        return all(dst.has_edge(mapping[i], mapping[j]) for i, j in src.edges)
-    if mode == "digraph":
-        if not (isinstance(src, FiniteDigraph) and isinstance(dst, FiniteDigraph)):
-            raise ValueError("digraph mode needs two digraphs")
+    if isinstance(src, FiniteDigraph) and isinstance(dst, FiniteDigraph):
         mapping = _as_map(f, src.n, dst.n)
         return all(dst.has_arc(mapping[i], mapping[j]) for i, j in src.arcs)
-    raise ValueError(f"unknown mode {mode!r}")
+    if isinstance(src, FiniteGraph) and isinstance(dst, FiniteGraph):
+        mapping = _as_map(f, src.n, dst.n)
+        return all(dst.has_edge(mapping[i], mapping[j]) for i, j in src.edges)
+    raise ValueError("need two undirected graphs or two digraphs")
 
 
 def verify_strong_homomorphism(f, src: FiniteGraph, dst: FiniteGraph) -> bool:

@@ -38,13 +38,6 @@ class IncreasingTuple(tuple):
                 raise ValueError(f"values not strictly increasing: {x} before {y}")
         return super().__new__(cls, vals)
 
-    def to_json(self) -> list[int]:
-        return list(self)
-
-    @classmethod
-    def from_json(cls, data: Iterable[int]) -> "IncreasingTuple":
-        return cls(data)
-
 
 @dataclass(frozen=True)
 class OrderTypePattern:
@@ -81,7 +74,8 @@ class OrderTypePattern:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrderTypePattern":
-        return cls(int(data["n"]), tuple(data["ra"]), tuple(data["rb"]))
+        (length,) = json_ints([data["n"]], "pattern fields")
+        return cls(length, json_ints(data["ra"], "pattern fields"), json_ints(data["rb"], "pattern fields"))
 
 
 def json_ints(values: Iterable, what: str) -> tuple:
@@ -91,6 +85,13 @@ def json_ints(values: Iterable, what: str) -> tuple:
         if type(v) is not int:
             raise ValueError(f"{what} must be JSON integers, got {v!r}")
     return vals
+
+
+def json_bool(value, what: str) -> bool:
+    """The value, provided it is a JSON bool (true or false, not 0, 1 or a string)."""
+    if type(value) is not bool:
+        raise ValueError(f"{what} must be a JSON bool, got {value!r}")
+    return value
 
 
 def otp(c: Iterable[int], d: Iterable[int]) -> OrderTypePattern:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -167,3 +168,64 @@ def test_verify_rejects_non_integer_numbers(capsys, tmp_path):
     path.write_text(json.dumps(embedding_doc()))
     code, out, _, _ = run_main(capsys, ["verify", path])
     assert (code, json.loads(out)) == (0, {"kind": "embedding", "ok": True})
+
+
+# `otg embed --a 0,1 --b 1,2 --N 3` as written before embeddings named their source graph.
+PARENT_FORMAT_EMBEDDING = {
+    "cover": {"k": 2, "pieces": [{"blocks": [{"closed": False, "hi": 1, "lo": 0}, {"closed": False, "hi": 2, "lo": 1},
+                                             {"closed": True, "hi": 2, "lo": 2}], "hi": 1, "k": 2, "kind": "A", "lo": 0}]},
+    "frame": [2, 3, 5, 5],
+    "images": [{"values": [15, 40]}, {"values": [15, 65]}, {"values": [40, 65]}],
+    "pattern": {"n": 2, "ra": [0, 1], "rb": [1, 2]},
+    "source": {"edges": [[0, 2]], "vertices": [[0, 1], [0, 2], [1, 2]]},
+    "verified": True,
+}
+
+
+def test_verify_accepts_fresh_and_parent_format_embeddings(capsys, tmp_path):
+    code, fresh, _, _ = run_main(capsys, ["embed", "--a", "0,1", "--b", "1,2", "--N", "3"])
+    assert code == 0 and "source" not in json.loads(fresh)
+    path = tmp_path / "doc.json"
+    for text in (fresh, json.dumps(PARENT_FORMAT_EMBEDDING)):
+        path.write_text(text)
+        code, out, _, _ = run_main(capsys, ["verify", path])
+        assert (code, json.loads(out)) == (0, {"kind": "embedding", "ok": True})
+
+
+def forged_documents() -> list[tuple[str, dict]]:
+    """Documents that once verified "ok": true, each with the field it forges."""
+    a, b = (0, 1, 3), (1, 2, 4)
+    emb = cover_embedding(a, b, orderly_cover(a, b), 4)
+    named = emb.to_json()
+    legacy = copy.deepcopy(named)
+    del legacy["shift"]
+    legacy["source"] = {**emb.source.to_json(), "edges": []}
+    forged = [("legacy source without edges", legacy)]
+    for what, n in (("n off by one", named["shift"]["n"] + 1), ("n = 10**9", 10**9)):
+        doc = copy.deepcopy(named)
+        doc["shift"]["n"] = n
+        forged.append((what, doc))
+    for what, path, value in (("k = 1.5", ("k",), 1.5), ("closed = '12'", ("blocks", -1, "closed"), "12")):
+        doc = decomposition_report((0, 1, 4), (2, 3, 6))
+        node = doc["cover"]["pieces"][0]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        forged.append((what, doc))
+    doc = decomposition_report((1, 2, 4), (2, 3, 6))
+    doc["a"][0] = True
+    forged.append(("a[0] = true", doc))
+    return forged
+
+
+def test_verify_refuses_forged_documents(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    for what, doc in forged_documents():
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err, _ = run_main(capsys, ["verify", path])
+        assert time.perf_counter() - start < 1.0, what
+        if code == 2:
+            assert out == "" and len(err) == 1 and err[0].startswith("error: "), (what, err)
+        else:
+            assert (code, json.loads(out)) == (1, {"kind": "embedding", "ok": False}), what

@@ -294,6 +294,30 @@ def test_decomposition_report_shape():
     assert [blk["closed"] for blk in analysis["blocks"]] == [False, False, True]
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("k",), 1.5, "^cover depth must be JSON integers"),
+        (("k",), True, "^cover depth must be JSON integers"),
+        (("pieces", 0, "k"), 1.5, "^cover piece fields must be JSON integers"),
+        (("pieces", 0, "lo"), False, "^cover piece fields must be JSON integers"),
+        (("pieces", 0, "kind"), ["A"], "^cover piece kind must be a JSON string"),
+        (("pieces", 0, "blocks", 0, "hi"), 2.0, "^block bounds must be JSON integers"),
+        (("pieces", 0, "blocks", 0, "closed"), "12", "^block closed must be a JSON bool"),
+        (("pieces", 0, "blocks", 2, "closed"), 1, "^block closed must be a JSON bool"),
+    ],
+)
+def test_cover_witness_from_json_takes_only_json_types(path, value, message):
+    doc = json.loads(json.dumps(orderly_cover((0, 1), (1, 2)).to_json()))
+    assert CoverWitness.from_json(doc) == orderly_cover((0, 1), (1, 2))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match=message):
+        CoverWitness.from_json(doc)
+
+
 @settings(deadline=None, max_examples=150)
 @given(pair_strategy)
 def test_closure_matches_union_find_oracle(data):

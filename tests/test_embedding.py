@@ -17,6 +17,7 @@ from otglab import (
     orderly_cover,
     otp,
     seqs,
+    shift_graph,
     verify_embedding,
 )
 
@@ -232,6 +233,65 @@ def test_embedding_json_round_trip():
     assert verify_embedding(back)
 
 
+def test_embedding_document_names_its_shift_graph():
+    a, b = (0, 1), (1, 2)
+    cover = cover_embedding(a, b, orderly_cover(a, b), 4)
+    lemma = lemma_embedding(a, b, 2, class_blocks(a, b).blocks, 5)
+    for emb, shift, graph in (
+        (cover, {"k": 2, "n": 4, "directed": False}, shift_graph(2, 4)),
+        (lemma, {"k": 2, "n": 5, "directed": True}, lshift_digraph(2, 5)),
+    ):
+        doc = emb.to_json()
+        assert "source" not in doc and doc["shift"] == shift
+        back = EmbeddingMap.from_json(doc)
+        assert back.source == graph and back == emb
+        assert verify_embedding(back)
+
+
+def legacy_doc(emb: EmbeddingMap) -> dict:
+    """The document as written before embeddings named their source: the graph itself."""
+    doc = emb.to_json()
+    del doc["shift"]
+    doc["source"] = emb.source.to_json()
+    return doc
+
+
+def test_legacy_source_loads_only_as_the_graph_its_vertices_name():
+    a, b = (0, 1, 3), (1, 2, 4)
+    emb = cover_embedding(a, b, orderly_cover(a, b), 4)
+    lemma = lemma_embedding((0, 1), (1, 2), 2, class_blocks((0, 1), (1, 2)).blocks, 4)
+    for good in (emb, lemma):
+        assert EmbeddingMap.from_json(legacy_doc(good)) == good
+    doc = legacy_doc(emb)
+    doc["source"]["edges"] = []
+    with pytest.raises(ValueError, match="legacy source graph is not the 2-shift graph on 4 letters"):
+        EmbeddingMap.from_json(doc)
+    doc = legacy_doc(emb)
+    doc["source"]["vertices"].pop(0)
+    with pytest.raises(ValueError, match="^legacy source graph"):
+        EmbeddingMap.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        ({"k": 2, "n": 5, "directed": False}, "^6 images, not one per increasing 2-tuple over 5 letters"),
+        ({"k": 2, "n": 3, "directed": False}, "^6 images"),
+        ({"k": 2, "n": 10**9, "directed": False}, "^6 images"),
+        ({"k": 10**6, "n": 10**9, "directed": False}, "^6 images"),
+        ({"k": 2, "n": 2, "directed": False}, "^a shift graph needs 0 < k < n"),
+        ({"k": 0, "n": 4, "directed": False}, "^a shift graph needs 0 < k < n"),
+        ({"k": 2, "n": 4, "directed": 0}, "^shift directed must be a JSON bool"),
+    ],
+)
+def test_embedding_from_json_rejects_a_misnamed_shift_graph(shift, message):
+    doc = cover_embedding((0, 1), (1, 2), orderly_cover((0, 1), (1, 2)), 4).to_json()
+    doc["shift"] = shift
+    with pytest.raises(ValueError, match=message) as info:
+        EmbeddingMap.from_json(doc)
+    assert not isinstance(info.value, EmbeddingError)
+
+
 @pytest.mark.parametrize(
     "path, value, field",
     [
@@ -241,6 +301,8 @@ def test_embedding_json_round_trip():
         (("frame", 0), 2.5, "frame radices"),
         (("pattern", "n"), 2.0, "pattern fields"),
         (("pattern", "rb", 0), 1.0, "pattern fields"),
+        (("shift", "k"), 1.5, "shift k and n"),
+        (("shift", "n"), True, "shift k and n"),
     ],
 )
 def test_embedding_from_json_takes_only_json_integers(path, value, field):

@@ -27,7 +27,7 @@ GOLDEN = {
     "run_suite(7, 400)": "6888d0170c750f45705da1cbad92b19349d0aac7aa8dfd48eaf8c547deb2e738",
     "embedding_sweep(7, 200)": "eb9e6dc83fab5362e6c28842e0e307f0c54f02438d2572d06c2d73bdf7503766",
     "decomposition_report corpus": "d8bc581837c11aaf74c919d77deeb0a8bf33ee8d46c719e7436dc3c0a536ecc5",
-    "embedding corpus": "02b88e3ca67e29cc01edaacbee9e9005cd4eff31e195e4e946825875934a366a",
+    "embedding corpus": "202a75284f35ed3dcbb671e12ab4d77ce9002e6455e9b00c47eb813e0d1dbcc7",
     "embedding images": "deb9468b029a48dbe8282e88b7442cc032ed55a1400f646d64ee0b640e14424a",
 }
 

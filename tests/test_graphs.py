@@ -227,10 +227,10 @@ def test_verify_homomorphism_projection():
 def test_verify_homomorphism_mode_checks():
     g = shift_graph(2, 4)
     d = lshift_digraph(2, 4)
-    with pytest.raises(ValueError):
-        verify_homomorphism([0], g, d, mode="graph")
-    with pytest.raises(ValueError):
-        verify_homomorphism(list(range(len(g.vertices))), g, g, mode="digraph")
+    identity = list(range(len(g.vertices)))
+    for src, dst in ((g, d), (d, g)):
+        with pytest.raises(ValueError, match="need two undirected graphs or two digraphs"):
+            verify_homomorphism(identity, src, dst)
 
 
 def test_verify_homomorphism_range_error():

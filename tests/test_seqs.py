@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from otglab import IncreasingTuple, LexFrame, OrderTypePattern, otp, remap_monotone
-from otglab.seqs import increasing_tuples, json_bool
+from otglab.seqs import increasing_tuples
 
 
 def test_increasing_tuple_accepts_strict():
@@ -89,13 +89,6 @@ def test_pattern_from_json_takes_only_json_integers(key, value):
     doc[key] = value
     with pytest.raises(ValueError, match="^pattern fields must be JSON integers"):
         OrderTypePattern.from_json(doc)
-
-
-def test_json_bool_takes_only_true_and_false():
-    assert json_bool(True, "flag") is True and json_bool(False, "flag") is False
-    for value in (0, 1, "true", None, [True]):
-        with pytest.raises(ValueError, match="^flag must be a JSON bool"):
-            json_bool(value, "flag")
 
 
 tuples = st.lists(st.integers(0, 200), min_size=1, max_size=8, unique=True).map(

@@ -414,6 +414,10 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
     equal); blocks must tile the piece's merged values with the one-step shift
     condition; distinct pieces must be value-separated both ways; and w.k must
     be the (floored at 1) max piece depth.
+
+    Since a and b increase and the pieces tile in order, all pairs of pieces
+    are value-separated exactly when each piece's top value lies below the
+    next piece's bottom value, which the tiling pass checks.
     """
     try:
         _check_pair(a, b)
@@ -423,20 +427,24 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
         return False
     n = len(a)
     pos = 0
+    below = None
     for p in w.pieces:
         if p.lo != pos or p.hi < p.lo or p.hi >= n:
             return False
+        if below is not None and not below < min(a[p.lo], b[p.lo]):
+            return False
+        below = max(a[p.hi], b[p.hi])
         pos = p.hi + 1
     if pos != n:
         return False
 
     for p in w.pieces:
-        sub_a = tuple(a[i] for i in p.indices)
-        sub_b = tuple(b[i] for i in p.indices)
         if p.kind == "equal":
             if p.lo != p.hi or a[p.lo] != b[p.lo] or p.k != 0 or p.blocks:
                 return False
             continue
+        sub_a = a[p.lo : p.hi + 1]
+        sub_b = b[p.lo : p.hi + 1]
         if p.kind == "A":
             lo_t, hi_t = sub_a, sub_b
         elif p.kind == "B":
@@ -455,14 +463,6 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
             prev_hi = blk.hi
         if shift_levels(lo_t, hi_t, p.blocks) is None:
             return False
-
-    for pi in range(len(w.pieces)):
-        for pj in range(pi + 1, len(w.pieces)):
-            first, second = w.pieces[pi], w.pieces[pj]
-            fc = ConvexClass(first.lo, first.hi, PLUS)
-            sc = ConvexClass(second.lo, second.hi, PLUS)
-            if not classes_separated(a, b, fc, sc):
-                return False
 
     expected = max(max((p.k for p in w.pieces), default=0), 1)
     return w.k == expected

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .decompose import Block, CoverWitness, shift_levels, verify_cover
 from .graphs import FiniteDigraph, FiniteGraph, lshift_digraph, shift_graph
-from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, json_bool, json_ints, otp
+from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, _ranks, json_bool, json_ints, otp
 
 
 class EmbeddingError(ValueError):
@@ -219,18 +219,19 @@ def verify_embedding(emb: EmbeddingMap, pattern: OrderTypePattern | None = None)
     """Check every edge or arc of the source realizes the pattern through the images.
 
     Arcs must realize it in arc direction; undirected edges in at least one
-    direction.
+    direction. Each edge compares the rank rows of its two images with the
+    pattern's; the reversed direction has the same rows swapped.
     """
     if pattern is None:
         pattern = emb.pattern
-    if len(emb.images) != emb.source.n:
+    images = emb.images
+    if len(images) != emb.source.n:
         return False
+    want = (pattern.ranks_a, pattern.ranks_b)
     if isinstance(emb.source, FiniteDigraph):
-        return all(otp(emb.images[u], emb.images[v]) == pattern for u, v in emb.source.arcs)
-    return all(
-        otp(emb.images[u], emb.images[v]) == pattern or otp(emb.images[v], emb.images[u]) == pattern
-        for u, v in emb.source.edges
-    )
+        return all(_ranks(images[u], images[v]) == want for u, v in emb.source.arcs)
+    swapped = want[::-1]
+    return all(_ranks(images[u], images[v]) in (want, swapped) for u, v in emb.source.edges)
 
 
 def _ladder_columns(frame: LexFrame, head: tuple[int, ...], maps: LevelMaps, swapped: bool = False) -> list:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .decompose import ConvexClass, exhaustive_k_orderly, generator_pairs, sign_partition
-from .graphs import FiniteGraph
+from .graphs import FiniteDigraph, FiniteGraph
 from .seqs import OrderTypePattern, otp
+
+if TYPE_CHECKING:
+    from .embedding import EmbeddingMap
 
 
 def has_k_coloring(g: FiniteGraph, k: int) -> bool:
@@ -96,3 +99,27 @@ def order_type_graph_oracle(pattern: OrderTypePattern, theta: int) -> FiniteGrap
             if otp(u, v) == pattern or otp(v, u) == pattern:
                 edges.append((i, j))
     return FiniteGraph(vertices, edges)
+
+
+def embedding_oracle(emb: EmbeddingMap, pattern: OrderTypePattern | None = None) -> bool:
+    """verify_embedding by signs: each edge's images x, y have x_i - y_j of the sign of ra_i - rb_j.
+
+    Two increasing tuples have the pattern's order type exactly when all
+    their cross comparisons agree with those of its rank rows. Images of
+    another length than the pattern fail here rather than raise.
+    """
+    if pattern is None:
+        pattern = emb.pattern
+    ra, rb = pattern.ranks_a, pattern.ranks_b
+
+    def realizes(x: Sequence[int], y: Sequence[int]) -> bool:
+        if len(x) != len(ra) or len(y) != len(rb):
+            return False
+        return all((xi > yj) - (xi < yj) == (ri > rj) - (ri < rj) for xi, ri in zip(x, ra) for yj, rj in zip(y, rb))
+
+    images = emb.images
+    if len(images) != emb.source.n:
+        return False
+    if isinstance(emb.source, FiniteDigraph):
+        return all(realizes(images[u], images[v]) for u, v in emb.source.arcs)
+    return all(realizes(images[u], images[v]) or realizes(images[v], images[u]) for u, v in emb.source.edges)

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
-from typing import Callable, Iterable, Iterator
+from operator import lt
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_TUPLE_LEN = 16
 MAX_TUPLE_VALUE = 2**32 - 1
@@ -25,18 +26,32 @@ class IncreasingTuple(tuple):
         max_len: int = MAX_TUPLE_LEN,
         max_value: int = MAX_TUPLE_VALUE,
     ) -> "IncreasingTuple":
-        vals = tuple(int(v) for v in values)
-        if not vals:
-            raise ValueError("increasing tuple must be nonempty")
-        if len(vals) > max_len:
-            raise ValueError(f"tuple length {len(vals)} exceeds cap {max_len}")
-        for v in vals:
-            if v < 0 or v > max_value:
-                raise ValueError(f"value {v} outside [0, {max_value}]")
-        for x, y in zip(vals, vals[1:]):
-            if x >= y:
-                raise ValueError(f"values not strictly increasing: {x} before {y}")
+        vals = tuple(map(int, values))
+        # Increasing with both ends in range puts every value in range, so one
+        # C-level pass accepts; _reject runs only to name the first fault.
+        if not (
+            vals
+            and len(vals) <= max_len
+            and vals[0] >= 0
+            and vals[-1] <= max_value
+            and all(map(lt, vals, vals[1:]))
+        ):
+            _reject(vals, max_len, max_value)
         return super().__new__(cls, vals)
+
+
+def _reject(vals: tuple[int, ...], max_len: int, max_value: int) -> None:
+    """Raise for the first fault of a tuple IncreasingTuple refused, in the order it checks them."""
+    if not vals:
+        raise ValueError("increasing tuple must be nonempty")
+    if len(vals) > max_len:
+        raise ValueError(f"tuple length {len(vals)} exceeds cap {max_len}")
+    for v in vals:
+        if v < 0 or v > max_value:
+            raise ValueError(f"value {v} outside [0, {max_value}]")
+    for x, y in zip(vals, vals[1:]):
+        if x >= y:
+            raise ValueError(f"values not strictly increasing: {x} before {y}")
 
 
 @dataclass(frozen=True)
@@ -94,13 +109,19 @@ def json_bool(value, what: str) -> bool:
     return value
 
 
+def _ranks(c: Sequence[int], d: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rank of each entry of c and of d in their merged value set (the rank rows of otp)."""
+    if len(c) != len(d):
+        raise ValueError(f"length mismatch: {len(c)} vs {len(d)}")
+    merged = sorted({*c, *d})
+    rank = dict(zip(merged, range(len(merged))))
+    return tuple(map(rank.__getitem__, c)), tuple(map(rank.__getitem__, d))
+
+
 def otp(c: Iterable[int], d: Iterable[int]) -> OrderTypePattern:
     """Order type of the pair (c, d): ranks of each entry in the merged value set."""
     cs, ds = tuple(c), tuple(d)
-    if len(cs) != len(ds):
-        raise ValueError(f"length mismatch: {len(cs)} vs {len(ds)}")
-    rank = {v: r for r, v in enumerate(sorted(set(cs) | set(ds)))}
-    return OrderTypePattern(len(cs), tuple(rank[v] for v in cs), tuple(rank[v] for v in ds))
+    return OrderTypePattern(len(cs), *_ranks(cs, ds))
 
 
 def remap_monotone(t: Iterable[int], f: Callable[[int], int]) -> IncreasingTuple:

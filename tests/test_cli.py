@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+from test_decompose import SPLIT_COVER
+
 from otglab import LexFrame, graph_from_json, shift_graph
 
 RUN = [sys.executable, "-m", "otglab"]
@@ -252,6 +254,26 @@ def test_verify_cover_document(tmp_path):
     path.write_text(res.stdout)
     check = run_cli("verify", str(path))
     assert check.returncode == 0
+
+
+def test_verify_rejects_unseparated_cover(tmp_path):
+    doc = json.loads(run_cli("decompose", "--a", "0,1", "--b", "1,2").stdout)
+    doc["cover"] = SPLIT_COVER.to_json()
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    check = run_cli("verify", str(path))
+    assert check.returncode == 1
+    assert json.loads(check.stdout) == {"kind": "cover", "ok": False}
+
+
+def test_verify_embedding_with_an_image_cut_short(tmp_path):
+    doc = json.loads(run_cli("embed", "--a", "0,1,3,6", "--b", "2,4,5,7", "--N", "4").stdout)
+    doc["images"][0]["values"].pop()
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    check = run_cli("verify", str(path))
+    assert check.returncode == 2
+    assert check.stderr.strip() == "error: length mismatch: 3 vs 4"
 
 
 def test_verify_coloring_document(tmp_path):

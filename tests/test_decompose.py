@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from otglab import (
     Block,
     ConvexClass,
+    CoverPiece,
     CoverWitness,
     analyze_class,
     classes_separated,
@@ -267,6 +269,92 @@ def test_verify_cover_rejects_understated_k():
         (type(piece)(piece.lo, piece.hi, piece.kind, 1, piece.blocks[:2]),), 1
     )
     assert not verify_cover(a, b, shrunk)
+
+
+# (0,1)/(1,2) is one class of depth 2. Split into two depth-1 pieces, each
+# piece checks on its own, and only their value overlap (a[1] = b[0] = 1) shows
+# that the claimed k = 1 understates the depth.
+SPLIT_A, SPLIT_B = (0, 1), (1, 2)
+SPLIT_COVER = CoverWitness(
+    (
+        CoverPiece(0, 0, "A", 1, (Block(0, 1), Block(1, 1, closed=True))),
+        CoverPiece(1, 1, "A", 1, (Block(1, 2), Block(2, 2, closed=True))),
+    ),
+    1,
+)
+
+
+def test_verify_cover_rejects_unseparated_pieces():
+    assert not verify_cover(SPLIT_A, SPLIT_B, SPLIT_COVER)
+    # each piece alone is a valid cover of its restriction
+    for p in SPLIT_COVER.pieces:
+        alone = CoverWitness((CoverPiece(0, 0, p.kind, p.k, p.blocks),), 1)
+        assert verify_cover(SPLIT_A[p.lo : p.hi + 1], SPLIT_B[p.lo : p.hi + 1], alone)
+
+
+def holds_piecewise(a, b, w):
+    """Every check of verify_cover but piece separation.
+
+    Each non-equal piece is checked as the one piece of a cover of its own
+    restriction, where no separation arises.
+    """
+    pos = 0
+    for p in w.pieces:
+        if p.lo != pos or p.hi < p.lo or p.hi >= len(a):
+            return False
+        pos = p.hi + 1
+    if pos != len(a) or tuple(a) == tuple(b):
+        return False
+    for p in w.pieces:
+        if p.kind == "equal":
+            if p.lo != p.hi or a[p.lo] != b[p.lo] or p.k != 0 or p.blocks:
+                return False
+            continue
+        alone = CoverWitness((CoverPiece(0, p.hi - p.lo, p.kind, p.k, p.blocks),), max(p.k, 1))
+        if not verify_cover(a[p.lo : p.hi + 1], b[p.lo : p.hi + 1], alone):
+            return False
+    return w.k == max(max((p.k for p in w.pieces), default=0), 1)
+
+
+def separated_all_pairs(a, b, w):
+    """classes_separated on every pair of pieces, earlier piece first."""
+    spans = [ConvexClass(p.lo, p.hi, "plus") for p in w.pieces]
+    return all(classes_separated(a, b, first, second) for first, second in combinations(spans, 2))
+
+
+def forged_covers(a, b, rnd):
+    """Forgeries of the pair's orderly cover: split pieces recovered piecewise, swapped pieces, shifted k."""
+    w = orderly_cover(a, b)
+    pieces = list(w.pieces)
+    for i, p in enumerate(pieces):
+        if p.hi == p.lo:
+            continue
+        cut = rnd.randrange(p.lo, p.hi)
+        halves = []
+        for lo, hi in ((p.lo, cut), (cut + 1, p.hi)):
+            for q in orderly_cover(a[lo : hi + 1], b[lo : hi + 1]).pieces:
+                halves.append(CoverPiece(q.lo + lo, q.hi + lo, q.kind, q.k, q.blocks))
+        split = pieces[:i] + halves + pieces[i + 1 :]
+        yield CoverWitness(tuple(split), max(max(q.k for q in split), 1))
+    if len(pieces) > 1:
+        i = rnd.randrange(len(pieces) - 1)
+        pieces[i], pieces[i + 1] = pieces[i + 1], pieces[i]
+        yield CoverWitness(tuple(pieces), w.k)
+    yield CoverWitness(w.pieces, w.k + rnd.choice((-1, 1)))
+
+
+def test_verify_cover_matches_all_pairs_separation():
+    rnd = random.Random(12)
+    cases = [(SPLIT_A, SPLIT_B, SPLIT_COVER)]
+    for a, b in dense_pairs(150, 12):
+        cases.append((a, b, orderly_cover(a, b)))
+        cases.extend((a, b, f) for f in forged_covers(a, b, rnd))
+    piecewise = [holds_piecewise(a, b, w) for a, b, w in cases]
+    separated = [ok and separated_all_pairs(a, b, w) for (a, b, w), ok in zip(cases, piecewise)]
+    assert [verify_cover(a, b, w) for a, b, w in cases] == separated
+    # forgeries that pass every other check are the ones only separation rejects
+    assert separated.count(True) >= 150
+    assert sum(ok and not sep for ok, sep in zip(piecewise, separated)) >= 100
 
 
 def test_verify_cover_rejects_equal_tuples():

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
+
+from test_golden import embedding_corpus
 
 from otglab import (
     Block,
@@ -20,6 +25,7 @@ from otglab import (
     shift_graph,
     verify_embedding,
 )
+from otglab.oracles import embedding_oracle
 
 
 def class_blocks(a, b):
@@ -323,3 +329,40 @@ def test_embedding_images_are_increasing_and_injective():
     assert verify_embedding(emb)
     seen = {tuple(img) for img in emb.images}
     assert len(seen) == len(emb.images)
+
+
+def perturbed(emb, rnd):
+    """(kind, copy) for copies of emb with one image coordinate moved by +-1, two images swapped, a longer pattern."""
+    images = list(emb.images)
+    i = rnd.randrange(len(images))
+    j, step = rnd.randrange(len(images[i])), rnd.choice((-1, 1))
+    values = list(images[i])
+    values[j] += step
+    try:
+        images[i] = IncreasingTuple(values, max_len=len(values), max_value=emb.frame.size - 1)
+    except ValueError:
+        pass  # the move broke the tuple, so no such document can be read
+    else:
+        yield "moved", EmbeddingMap(emb.source, emb.frame, tuple(images), emb.pattern)
+    images = list(emb.images)
+    i, j = rnd.sample(range(len(images)), 2)
+    images[i], images[j] = images[j], images[i]
+    yield "swapped", EmbeddingMap(emb.source, emb.frame, tuple(images), emb.pattern)
+    length = emb.pattern.length + 1
+    yield "longer", EmbeddingMap(emb.source, emb.frame, emb.images, otp(range(length), range(1, length + 1)))
+
+
+def test_verify_embedding_matches_sign_oracle():
+    rnd = random.Random(14)
+    corpus = [EmbeddingMap.from_json(doc) for doc in embedding_corpus() if not isinstance(doc, str)]
+    cases = [("corpus", emb) for emb in corpus] + [case for emb in corpus for case in perturbed(emb, rnd)]
+    verdicts = Counter()
+    for kind, emb in cases:
+        ok = verify_embedding(emb)
+        assert ok == embedding_oracle(emb), (kind, emb)
+        verdicts[kind, ok] += 1
+    assert verdicts["corpus", True] == len(corpus) > 1000
+    assert verdicts["longer", False] == len(corpus)
+    # moves and swaps break many maps and leave some intact; both outcomes must agree
+    for kind in ("moved", "swapped"):
+        assert verdicts[kind, False] > 200 and verdicts[kind, True] > 200, verdicts

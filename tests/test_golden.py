@@ -6,6 +6,7 @@ and says why in CHANGES.md.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -61,11 +62,13 @@ def _attempt(build, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _embedding_corpus() -> list:
+@functools.cache
+def embedding_corpus() -> tuple:
     """Cover embeddings at n = k + 1 and k + 2, plus lemma embeddings of single plus classes.
 
     The pairs are seeded random_pair draws and dense pairs: two uniform
     L-subsets of range(L + L // 2), L = 4..14, which give deep ladders.
+    Built once per session; callers read the documents and change none.
     """
     pairs = [random_pair(SplitMix64(case_seed(2026, i)), 4 + i % 9, 16 + i % 32) for i in range(400)]
     rng = SplitMix64(2027)
@@ -82,7 +85,7 @@ def _embedding_corpus() -> list:
         if len(classes) == 1 and classes[0].sign == PLUS:
             an = analyze_class(a, b, classes[0])
             out.extend(_attempt(lemma_embedding, a, b, an.depth, an.blocks, n) for n in (an.depth + 1, an.depth + 2))
-    return out
+    return tuple(out)
 
 
 def _images(doc):
@@ -93,7 +96,7 @@ def _images(doc):
 
 
 def test_golden_digests():
-    embeddings = _embedding_corpus()
+    embeddings = list(embedding_corpus())
     got = {
         "run_suite(7, 400)": _digest(run_suite(7, 400).to_json()),
         "embedding_sweep(7, 200)": _digest(embedding_sweep(7, 200)),

@@ -37,6 +37,25 @@ def test_empty_tuple_rejected():
         IncreasingTuple(())
 
 
+@pytest.mark.parametrize(
+    "values, caps, message",
+    [
+        ((), {}, "increasing tuple must be nonempty"),
+        ((0, 1, 2), {"max_len": 2}, "tuple length 3 exceeds cap 2"),
+        ((-1, 2), {}, "value -1 outside [0, 4294967295]"),
+        ((0, 9), {"max_value": 8}, "value 9 outside [0, 8]"),
+        ((0, 3, 3), {}, "values not strictly increasing: 3 before 3"),
+        ((4, 2), {}, "values not strictly increasing: 4 before 2"),
+        # out of order and out of range: the range fault is named first
+        ((5, 3, -1), {}, "value -1 outside [0, 4294967295]"),
+    ],
+)
+def test_increasing_tuple_fault_texts(values, caps, message):
+    with pytest.raises(ValueError) as exc:
+        IncreasingTuple(values, **caps)
+    assert str(exc.value) == message
+
+
 def test_otp_shift_pattern():
     p = otp((0, 1), (1, 2))
     assert p.ranks_a == (0, 1)

@@ -10,9 +10,12 @@ import functools
 import hashlib
 import json
 
+from otglab.coloring import chromatic_number
 from otglab.decompose import PLUS, analyze_class, convex_closure, decomposition_report, orderly_cover
 from otglab.embedding import cover_embedding, lemma_embedding
+from otglab.graphs import FiniteGraph, order_type_graph, shift_graph
 from otglab.rng import SplitMix64, case_seed, random_pair
+from otglab.seqs import otp
 from otglab.suite import embedding_sweep, run_suite
 
 MALFORMED = (
@@ -30,6 +33,7 @@ GOLDEN = {
     "decomposition_report corpus": "d8bc581837c11aaf74c919d77deeb0a8bf33ee8d46c719e7436dc3c0a536ecc5",
     "embedding corpus": "202a75284f35ed3dcbb671e12ab4d77ce9002e6455e9b00c47eb813e0d1dbcc7",
     "embedding images": "deb9468b029a48dbe8282e88b7442cc032ed55a1400f646d64ee0b640e14424a",
+    "solver corpus": "2631b305ba5f8e1e5efc67205e2306bca4745c3b44d181f1f5cbaf85a7aa48cf",
 }
 
 
@@ -95,6 +99,54 @@ def _images(doc):
     return {"frame": doc["frame"], "pattern": doc["pattern"], "values": [img["values"] for img in doc["images"]]}
 
 
+# The pattern graphs of the bench's solve workload, written out.
+SOLVE_PATTERNS = (
+    ((0, 1), (0, 2), 12),
+    ((0, 1), (1, 2), 12),
+    ((0, 1), (2, 3), 12),
+    ((0, 2), (1, 2), 12),
+    ((0, 2), (1, 3), 12),
+    ((0, 3), (1, 2), 12),
+    ((0, 1, 2), (1, 2, 3), 10),
+    ((0, 1, 4), (2, 3, 5), 10),
+    ((0, 2, 4), (1, 3, 5), 10),
+    ((0, 1, 2, 3), (1, 2, 3, 4), 9),
+    ((0, 2, 4, 6), (1, 3, 5, 7), 9),
+)
+# 255..257 straddle the solver's 256-node probe; 0 stops at the root. No budget
+# is None: Sh_2(17) has not closed at 400,000 nodes.
+SOLVER_BUDGETS = (20000, 5000, 300, 257, 256, 255, 100, 1, 0)
+
+
+def _mycielski(g: FiniteGraph) -> FiniteGraph:
+    n = g.n
+    edges = list(g.edges) + [(i, n + j) for i, j in g.edges] + [(j, n + i) for i, j in g.edges]
+    edges += [(n + i, 2 * n) for i in range(n)]
+    return FiniteGraph(list(range(2 * n + 1)), edges)
+
+
+def _solver_corpus() -> list:
+    """chromatic_number over shift, pattern, seeded random and Mycielski graphs at every budget."""
+    graphs = [shift_graph(2, n) for n in range(2, 19)]
+    graphs += [shift_graph(3, n) for n in range(4, 15)] + [shift_graph(4, n) for n in range(5, 13)]
+    graphs += [order_type_graph(otp(a, b), theta) for a, b, theta in SOLVE_PATTERNS]
+    rng = SplitMix64(2028)
+    for _ in range(300):
+        n, density = 3 + rng.below(38), 1 + rng.below(7)  # each edge with probability density / 8
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.below(8) < density]
+        graphs.append(FiniteGraph(list(range(n)), edges))
+    m = FiniteGraph([0, 1], [(0, 1)])
+    for _ in range(4):  # 5, 11, 23 and 47 vertices
+        m = _mycielski(m)
+        graphs.append(m)
+    out = []
+    for g in graphs:
+        for budget in SOLVER_BUDGETS:
+            r = chromatic_number(g, budget)
+            out.append([r.chi, r.lower, r.upper, list(r.witness.colors), r.witness.palette, r.nodes])
+    return out
+
+
 def test_golden_digests():
     embeddings = list(embedding_corpus())
     got = {
@@ -103,5 +155,6 @@ def test_golden_digests():
         "decomposition_report corpus": _digest(_report_corpus()),
         "embedding corpus": _digest(embeddings),
         "embedding images": _digest([_images(doc) for doc in embeddings]),
+        "solver corpus": _digest(_solver_corpus()),
     }
     assert got == GOLDEN

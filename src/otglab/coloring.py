@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 from .graphs import FiniteGraph, order_type_graph, verify_homomorphism, verify_strong_homomorphism
 from .seqs import OrderTypePattern, json_ints
@@ -121,102 +121,80 @@ def _odd_cycle(nbrs: list[list[int]]) -> bool:
     return False
 
 
-class _BudgetHit(Exception):
-    pass
+_PAUSED = object()
 
 
 def _dsatur_search(
-    nbrs: list[list[int]], k: int, nodes: int = 0, budget: int | None = None, probe: int | None = None
-) -> Iterator[int]:
+    nbrs: list[list[int]], k: int, nodes: int = 0, limit: int | None = None
+) -> Generator[tuple, int | None, None]:
     """Depth-first search for a proper coloring with at most k colors, as a generator.
 
     Vertices are numbered by rank (decreasing degree, then index), so the
     branching vertex, of maximal saturation with ties to the lowest rank, is
     the lowest set bit of the highest non-empty saturation level. Colors are
-    tried in ascending order, at most one of them fresh. Returns the colors
-    by rank, or None when no k-coloring exists, with the running node count
-    (one per decision, the root included); raises _BudgetHit past budget.
-    When probe is below budget, the search first pauses once past probe
-    nodes, yielding the node count; resumed, it goes on under budget. Drive
-    it with _advance. With k = n the first leaf is the DSatur greedy coloring.
+    tried in ascending order, at most one of them fresh. nodes is the running
+    count of decision nodes: one at the root and one per color placed.
+    Whenever the count passes limit, the search yields (_PAUSED, nodes) and
+    resumes under the limit sent back (None: no limit). At its end it yields
+    the colors by rank, or None when no k-coloring exists, with the count.
+    With k = n the first leaf is the DSatur greedy coloring.
     """
-    stop = budget  # the node count past which the search pauses or gives up
-    if probe is not None and (budget is None or probe < budget):
-        stop = probe
     n = len(nbrs)
     colors = [-1] * n
     seen = [0] * n  # colors on the colored neighbors, as a bitmask
     sat = [0] * n  # number of bits in seen
     level = [0] * (k + 1)  # level[s]: uncolored ranks of saturation s
-    level[0] = (1 << n) - 2  # rank 0 is branched on first
+    level[0] = (1 << n) - 1  # the lowest set bit picks rank 0 at the root
     stack: list[tuple[int, int, int, list[int]]] = []
     used = 0
-    v, c = 0, 0
-    nodes += 1
-    if stop is not None and nodes > stop:
-        if stop == budget:
-            raise _BudgetHit
-        yield nodes
-        stop = budget
     while True:
-        limit = min(used + 1, k)
-        forbidden = seen[v]
-        while c < limit and forbidden >> c & 1:
-            c += 1
-        if c < limit:
-            colors[v] = c
+        nodes += 1
+        if limit is not None and nodes > limit:
+            limit = yield _PAUSED, nodes
+        if len(stack) == n:
+            yield colors, nodes
+            return
+        s = used
+        while not level[s]:
+            s -= 1
+        low = level[s] & -level[s]
+        level[s] ^= low
+        v, c = low.bit_length() - 1, 0
+        while True:
+            top = min(used + 1, k)
+            forbidden = seen[v]
+            while c < top and forbidden >> c & 1:
+                c += 1
+            if c < top:
+                colors[v] = c
+                bit = 1 << c
+                touched = []
+                for w in nbrs[v]:
+                    if colors[w] < 0 and not seen[w] & bit:
+                        seen[w] |= bit
+                        s = sat[w]
+                        sat[w] = s + 1
+                        level[s] ^= 1 << w
+                        level[s + 1] |= 1 << w
+                        touched.append(w)
+                stack.append((v, c, used, touched))
+                if c == used:
+                    used += 1
+                break
+            level[sat[v]] |= 1 << v
+            if not stack:
+                yield None, nodes
+                return
+            v, c, used, touched = stack.pop()
+            colors[v] = -1
             bit = 1 << c
-            touched = []
-            for w in nbrs[v]:
-                if colors[w] < 0 and not seen[w] & bit:
-                    seen[w] |= bit
-                    s = sat[w]
-                    sat[w] = s + 1
-                    level[s] ^= 1 << w
-                    level[s + 1] |= 1 << w
-                    touched.append(w)
-            stack.append((v, c, used, touched))
-            if c == used:
-                used += 1
-            nodes += 1
-            if stop is not None and nodes > stop:
-                if stop == budget:
-                    raise _BudgetHit
-                yield nodes
-                stop = budget
-            if len(stack) == n:
-                return colors, nodes
-            s = used
-            while not level[s]:
-                s -= 1
-            low = level[s] & -level[s]
-            level[s] ^= low
-            v, c = low.bit_length() - 1, 0
-            continue
-        level[sat[v]] |= 1 << v
-        if not stack:
-            return None, nodes
-        v, c, used, touched = stack.pop()
-        colors[v] = -1
-        bit = 1 << c
-        for w in touched:
-            seen[w] ^= bit
-            s = sat[w]
-            sat[w] = s - 1
-            level[s] ^= 1 << w
-            level[s - 1] |= 1 << w
-        c += 1
-
-
-_PAUSED = object()
-
-
-def _advance(search: Iterator[int]) -> tuple:
-    """Run a _dsatur_search on: its (colors or None, nodes), or (_PAUSED, nodes) at its pause."""
-    try:
-        return _PAUSED, next(search)
-    except StopIteration as done:
-        return done.value
+            for w in touched:
+                seen[w] ^= bit
+                s = sat[w]
+                sat[w] = s - 1
+                level[s] ^= 1 << w
+                level[s - 1] |= 1 << w
+            c += 1
 
 
 # Decision nodes a search at one color count may spend before the tabu phase runs.
@@ -297,13 +275,14 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
     palette, none found makes the upper bound exact. The search branches on
     the uncolored vertex of maximal saturation (ties: higher degree, then
     lower index) and tries existing colors in ascending order plus at most
-    one fresh color. Each such search pauses once past _PROBE_NODES nodes of
-    its own; a deterministic tabu search from the best coloring so far then
-    looks for the same color count, and its coloring counts only once
-    verify_coloring accepts it. Otherwise the paused search goes on, so no
-    node is searched twice. budget caps the decision nodes summed over all
-    searches, paused ones included; tabu moves are not decision nodes.
-    Exhausting the budget yields an inconclusive result with bounds.
+    one fresh color. budget caps the decision nodes summed over all searches;
+    tabu moves are not decision nodes. Each search starts under one node
+    limit: _PROBE_NODES nodes of its own, or the budget if that comes first.
+    A pause within the budget runs a deterministic tabu search from the best
+    coloring so far for the same color count, and its coloring counts only
+    once verify_coloring accepts it. Otherwise the search resumes under the
+    budget, so no node is searched twice. A pause past the budget gives an
+    inconclusive result with bounds and nodes = budget + 1.
     """
     n = g.n
     if n == 0:
@@ -316,27 +295,27 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
         rank[v] = r
     nbrs = [[rank[w] for w in g.neighbors(v)] for v in order]
 
-    best, _ = _advance(_dsatur_search(nbrs, n))
+    best, _ = next(_dsatur_search(nbrs, n))
     ub = max(best) + 1
     lb = len(_clique_along(order, g.neighbors))
     if lb < 3 and _odd_cycle(nbrs):
         lb = 3
     nodes = 0
-    try:
-        while lb < ub:
-            k = ub - 1
-            search = _dsatur_search(nbrs, k, nodes, budget, nodes + _PROBE_NODES)
-            found, nodes = _advance(search)
-            if found is _PAUSED:
-                found = _tabucol(nbrs, best, k, _TABU_MOVES)
-                if found is None or not verify_coloring(g, _witness(found, rank, k)):
-                    found, nodes = _advance(search)
-            if found is None:
-                break
-            best = found
-            ub = max(found) + 1
-    except _BudgetHit:
-        return ChiResult(None, lb, ub, _witness(best, rank, ub), budget + 1)
+    while lb < ub:
+        k = ub - 1
+        limit = nodes + _PROBE_NODES if budget is None else min(nodes + _PROBE_NODES, budget)
+        search = _dsatur_search(nbrs, k, nodes, limit)
+        found, nodes = next(search)
+        if found is _PAUSED and (budget is None or nodes <= budget):
+            found = _tabucol(nbrs, best, k, _TABU_MOVES)
+            if found is None or not verify_coloring(g, _witness(found, rank, k)):
+                found, nodes = search.send(budget)
+        if found is _PAUSED:
+            return ChiResult(None, lb, ub, _witness(best, rank, ub), nodes)
+        if found is None:
+            break
+        best = found
+        ub = max(found) + 1
     return ChiResult(ub, ub, ub, _witness(best, rank, ub), nodes)
 
 

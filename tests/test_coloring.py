@@ -21,7 +21,7 @@ from otglab import (
     verify_coloring,
     verify_strong_homomorphism,
 )
-from otglab.coloring import _advance, _clique_along, _dsatur_search, _tabucol
+from otglab.coloring import _clique_along, _dsatur_search, _tabucol
 from otglab.oracles import brute_chromatic, has_k_coloring
 
 
@@ -221,7 +221,7 @@ def test_paused_search_resumes_without_searching_twice():
     # run can find 4 colors, so the paused search must go on, not restart
     g = mycielski(mycielski(mycielski(FiniteGraph([0, 1], [(0, 1)]))))
     _, nbrs = by_rank(g)
-    found, pure = _advance(_dsatur_search(nbrs, 4))
+    found, pure = next(_dsatur_search(nbrs, 4))
     assert found is None and pure > 256
     res = chromatic_number(g)
     assert res.chi == 5 and res.nodes == pure

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, Generator, Iterable, Sequence
 
-from .graphs import FiniteGraph, order_type_graph, verify_homomorphism, verify_strong_homomorphism
+from .graphs import FiniteGraph, _as_map, order_type_graph, verify_homomorphism, verify_strong_homomorphism
 from .seqs import OrderTypePattern, json_ints
 
 
@@ -390,12 +390,12 @@ def product_coloring(
 
 def pullback_coloring(f, h: FiniteGraph, g: FiniteGraph, c: Coloring) -> Coloring:
     """Pull a proper coloring of g back along a homomorphism h -> g."""
-    if not verify_homomorphism(f, h, g):
+    mapping = _as_map(f, h.n, g.n)
+    if not verify_homomorphism(mapping, h, g):
         raise ValueError("f is not a homomorphism")
     if not verify_coloring(g, c):
         raise ValueError("c is not a proper coloring of the target")
-    mapping = f if isinstance(f, Sequence) else [f[i] for i in range(h.n)]
-    return Coloring(tuple(c.colors[mapping[i]] for i in range(h.n)), c.palette)
+    return Coloring(tuple(c.colors[x] for x in mapping), c.palette)
 
 
 def quotient_coloring(f, h: FiniteGraph, g: FiniteGraph, c: Coloring) -> Coloring:
@@ -405,11 +405,11 @@ def quotient_coloring(f, h: FiniteGraph, g: FiniteGraph, c: Coloring) -> Colorin
     because a strong map reflects edges; together with pullback_coloring this
     pins the chromatic numbers of h and g to each other.
     """
-    if not verify_strong_homomorphism(f, h, g):
+    mapping = _as_map(f, h.n, g.n)
+    if not verify_strong_homomorphism(mapping, h, g):
         raise ValueError("f is not a strong homomorphism")
     if not verify_coloring(h, c):
         raise ValueError("c is not a proper coloring of the source")
-    mapping = f if isinstance(f, Sequence) else [f[i] for i in range(h.n)]
     section: dict[int, int] = {}
     for u in range(h.n):
         section.setdefault(mapping[u], u)

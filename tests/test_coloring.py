@@ -327,6 +327,17 @@ def test_pullback_coloring():
         pullback_coloring([0] * len(h.vertices), h, g, target)
 
 
+def test_colorings_along_a_map_take_any_iterable():
+    # path 0-1-2 onto the edge {0, 1}: strong, surjective, and a homomorphism
+    g = FiniteGraph([0, 1], [(0, 1)])
+    path = FiniteGraph([0, 1, 2], [(0, 1), (1, 2)])
+    up, down = Coloring((1, 0), 2), Coloring((1, 0, 1), 2)
+    maps = [lambda: (v for v in (0, 1, 0)), lambda: [0, 1, 0], lambda: {0: 0, 1: 1, 2: 0}]
+    assert {pullback_coloring(f(), path, g, up) for f in maps} == {Coloring((1, 0, 1), 2)}
+    assert {quotient_coloring(f(), path, g, down) for f in maps} == {Coloring((1, 0), 2)}
+    assert quotient_coloring(iter([0, 1]), g, g, up) == up
+
+
 def test_quotient_coloring_round_trip():
     import random
 

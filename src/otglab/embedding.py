@@ -215,19 +215,17 @@ class EmbeddingMap:
         return cls(source, frame, tuple(images), OrderTypePattern.from_json(data["pattern"]))
 
 
-def verify_embedding(emb: EmbeddingMap, pattern: OrderTypePattern | None = None) -> bool:
+def verify_embedding(emb: EmbeddingMap) -> bool:
     """Check every edge or arc of the source realizes the pattern through the images.
 
     Arcs must realize it in arc direction; undirected edges in at least one
     direction. Each edge compares the rank rows of its two images with the
     pattern's; the reversed direction has the same rows swapped.
     """
-    if pattern is None:
-        pattern = emb.pattern
     images = emb.images
     if len(images) != emb.source.n:
         return False
-    want = (pattern.ranks_a, pattern.ranks_b)
+    want = (emb.pattern.ranks_a, emb.pattern.ranks_b)
     if isinstance(emb.source, FiniteDigraph):
         return all(_ranks(images[u], images[v]) == want for u, v in emb.source.arcs)
     swapped = want[::-1]
@@ -263,7 +261,7 @@ def _assemble(
         for eta in source.vertices
     )
     emb = EmbeddingMap(source, frame, images, pattern)
-    if not verify_embedding(emb, pattern):
+    if not verify_embedding(emb):
         raise EmbeddingError("constructed images fail the pattern check")
     return emb
 

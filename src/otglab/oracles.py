@@ -101,16 +101,14 @@ def order_type_graph_oracle(pattern: OrderTypePattern, theta: int) -> FiniteGrap
     return FiniteGraph(vertices, edges)
 
 
-def embedding_oracle(emb: EmbeddingMap, pattern: OrderTypePattern | None = None) -> bool:
+def embedding_oracle(emb: EmbeddingMap) -> bool:
     """verify_embedding by signs: each edge's images x, y have x_i - y_j of the sign of ra_i - rb_j.
 
     Two increasing tuples have the pattern's order type exactly when all
     their cross comparisons agree with those of its rank rows. Images of
     another length than the pattern fail here rather than raise.
     """
-    if pattern is None:
-        pattern = emb.pattern
-    ra, rb = pattern.ranks_a, pattern.ranks_b
+    ra, rb = emb.pattern.ranks_a, emb.pattern.ranks_b
 
     def realizes(x: Sequence[int], y: Sequence[int]) -> bool:
         if len(x) != len(ra) or len(y) != len(rb):

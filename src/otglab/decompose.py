@@ -181,6 +181,14 @@ class ClassAnalysis:
         }
 
 
+def plus_oriented(
+    a: Sequence[int], b: Sequence[int], lo: int, hi: int, swap: bool
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Plus-oriented (low, high) tuples on indices lo..hi: a's and b's, swapped for a minus class or a B piece."""
+    sub_a, sub_b = tuple(a[lo : hi + 1]), tuple(b[lo : hi + 1])
+    return (sub_b, sub_a) if swap else (sub_a, sub_b)
+
+
 def shift_levels(lo_t: Sequence[int], hi_t: Sequence[int], blocks: Sequence[Block]) -> list[int] | None:
     """Block index of each lo_t[i] when the blocks certify a one-step ladder, else None.
 
@@ -443,15 +451,7 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
             if p.lo != p.hi or a[p.lo] != b[p.lo] or p.k != 0 or p.blocks:
                 return False
             continue
-        sub_a = a[p.lo : p.hi + 1]
-        sub_b = b[p.lo : p.hi + 1]
-        if p.kind == "A":
-            lo_t, hi_t = sub_a, sub_b
-        elif p.kind == "B":
-            lo_t, hi_t = sub_b, sub_a
-        else:
-            return False
-        if p.k < 1 or len(p.blocks) != p.k + 1:
+        if p.kind not in ("A", "B") or p.k < 1 or len(p.blocks) != p.k + 1:
             return False
         prev_hi = None
         for m, blk in enumerate(p.blocks):
@@ -461,7 +461,7 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
             if blk.closed != closed:
                 return False
             prev_hi = blk.hi
-        if shift_levels(lo_t, hi_t, p.blocks) is None:
+        if shift_levels(*plus_oriented(a, b, p.lo, p.hi, p.kind == "B"), p.blocks) is None:
             return False
 
     expected = max(max((p.k for p in w.pieces), default=0), 1)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Sequence
 
-from .decompose import Block, CoverWitness, shift_levels, verify_cover
+from .decompose import Block, CoverWitness, plus_oriented, shift_levels, verify_cover
 from .graphs import FiniteDigraph, FiniteGraph, lshift_digraph, shift_graph
 from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, _ranks, json_bool, json_ints, otp
 
@@ -300,7 +300,6 @@ def cover_embedding(a: Sequence[int], b: Sequence[int], w: CoverWitness, n: int)
         if p.kind == "equal":
             columns.append((frame.encode((pi, 0) + (0,) * k), 0, 0))
             continue
-        sub = tuple(a[i] for i in p.indices), tuple(b[i] for i in p.indices)
-        lo_t, hi_t = sub if p.kind == "A" else sub[::-1]
+        lo_t, hi_t = plus_oriented(a, b, p.lo, p.hi, p.kind == "B")
         columns += _ladder_columns(frame, (pi,), build_level_maps(lo_t, hi_t, p.k, p.blocks), p.kind == "B")
     return _assemble(shift_graph(k, n), frame, otp(a, b), columns)

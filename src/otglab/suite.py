@@ -24,6 +24,7 @@ from .decompose import (
     convex_closure,
     is_k_orderly,
     orderly_cover,
+    plus_oriented,
     shift_levels,
     sign_partition,
     verify_cover,
@@ -75,10 +76,7 @@ class _Case:
         for cls in self.classes:
             if cls.sign == ZERO:
                 continue
-            lo_t = tuple(self.a[i] for i in cls.indices)
-            hi_t = tuple(self.b[i] for i in cls.indices)
-            if cls.sign == MINUS:
-                lo_t, hi_t = hi_t, lo_t
+            lo_t, hi_t = plus_oriented(self.a, self.b, cls.lo, cls.hi, cls.sign == MINUS)
             out.append((cls, lo_t, hi_t, analyze_class(self.a, self.b, cls)))
         return out
 
@@ -197,8 +195,7 @@ def _check_orderly_oracle(case: _Case, rng: SplitMix64) -> tuple[str, str]:
     for p in case.cover.pieces:
         if p.kind == "equal":
             continue
-        sub = tuple(a[i] for i in p.indices), tuple(b[i] for i in p.indices)
-        lo_t, hi_t = (sub[1], sub[0]) if p.kind == "B" else sub
+        lo_t, hi_t = plus_oriented(a, b, p.lo, p.hi, p.kind == "B")
         merged = len(set(lo_t) | set(hi_t))
         if merged > 12 or p.k > 4:
             continue

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from test_golden import embedding_corpus
+from test_acceptance import check_level_maps_pattern
+from test_golden import dense_pairs, embedding_corpus
 
 from otglab import (
     Block,
@@ -25,6 +26,7 @@ from otglab import (
     shift_graph,
     verify_embedding,
 )
+from otglab.decompose import plus_oriented
 from otglab.oracles import embedding_oracle
 
 
@@ -98,6 +100,19 @@ def test_level_maps_cross_level_trichotomy():
                 g1, g0 = maps.values[(i, b1)], maps.values[(i - 1, b2)]
                 rhs = (g1 > g0) - (g1 < g0)
                 assert lhs == rhs
+
+
+def test_level_maps_pattern_on_dense_cover_pieces():
+    # the dense pairs reach deep ladders, which random_pair draws seldom do
+    depths = Counter()
+    for a, b in dense_pairs():
+        for p in orderly_cover(a, b).pieces:
+            if p.kind == "equal":
+                continue
+            lo_t, hi_t = plus_oriented(a, b, p.lo, p.hi, p.kind == "B")
+            check_level_maps_pattern(lo_t, hi_t, p.k, p.blocks)
+            depths[p.k] += 1
+    assert sum(n for k, n in depths.items() if k >= 3) >= 150, depths
 
 
 def test_level_maps_reject_bad_blocks():

@@ -59,6 +59,18 @@ def _subset(rng: SplitMix64, size: int, bound: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
+def dense_pairs() -> list:
+    """Two uniform L-subsets of range(L + L // 2) per draw, L = 4..14 (SplitMix64(2027)); equal draws dropped."""
+    rng = SplitMix64(2027)
+    pairs = []
+    for i in range(220):
+        size = 4 + i % 11
+        a, b = _subset(rng, size, size + size // 2), _subset(rng, size, size + size // 2)
+        if a != b:
+            pairs.append((a, b))
+    return pairs
+
+
 def _attempt(build, *args):
     try:
         return build(*args).to_json()
@@ -75,14 +87,8 @@ def embedding_corpus() -> tuple:
     Built once per session; callers read the documents and change none.
     """
     pairs = [random_pair(SplitMix64(case_seed(2026, i)), 4 + i % 9, 16 + i % 32) for i in range(400)]
-    rng = SplitMix64(2027)
-    for i in range(220):
-        size = 4 + i % 11
-        a, b = _subset(rng, size, size + size // 2), _subset(rng, size, size + size // 2)
-        if a != b:
-            pairs.append((a, b))
     out = []
-    for a, b in pairs:
+    for a, b in pairs + dense_pairs():
         w = orderly_cover(a, b)
         out.extend(_attempt(cover_embedding, a, b, w, n) for n in (w.k + 1, w.k + 2))
         classes = convex_closure(a, b)

@@ -48,7 +48,6 @@ _EXPORTS = {
         "EmbeddingError",
         "EmbeddingMap",
         "LevelMaps",
-        "StarOrder",
         "build_level_maps",
         "cover_embedding",
         "lemma_embedding",

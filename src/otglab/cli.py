@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
@@ -67,18 +66,6 @@ def _emit_graph(g: FiniteGraph | FiniteDigraph, fmt: str) -> None:
         print(_graph_table(g))
 
 
-def _budget(args: argparse.Namespace) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("OTG_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"OTG_BUDGET must be an integer, got {env!r}")
-    return None
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     from .graphs import lshift_digraph, order_type_graph, rshift_digraph, shift_graph
     from .seqs import otp
@@ -109,7 +96,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
         if args.r is None or args.n is None:
             raise ValueError("need --r and --n, or --input")
         g = shift_graph(args.r, args.n)
-    res = chromatic_number(g, _budget(args))
+    res = chromatic_number(g, args.budget)
     if args.format == "json":
         print(_dump(res.to_json()))
     elif res.exact:
@@ -256,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     chi.add_argument("--r", type=int)
     chi.add_argument("--n", type=int)
     chi.add_argument("--input", help="graph JSON file instead of --r/--n")
-    chi.add_argument("--budget", type=int, help="decision node cap (default: OTG_BUDGET or unlimited)")
+    chi.add_argument("--budget", type=int, help="decision node cap (default: unlimited)")
     chi.add_argument("--format", choices=("json", "table"), default="json")
     chi.set_defaults(func=cmd_chi)
 

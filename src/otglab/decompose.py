@@ -12,6 +12,8 @@ from .seqs import json_bool, json_ints
 ZERO = "zero"
 PLUS = "plus"
 MINUS = "minus"
+# is_k_orderly's exhaustive cut search runs only on pairs with at most this many distinct values.
+MAX_MERGED = 24
 
 
 class DecompositionError(ValueError):
@@ -301,14 +303,12 @@ def exhaustive_k_orderly(a: Sequence[int], b: Sequence[int], k: int) -> tuple[Bl
     return None
 
 
-def is_k_orderly(
-    a: Sequence[int], b: Sequence[int], k: int, *, max_merged: int = 24
-) -> tuple[Block, ...] | None:
+def is_k_orderly(a: Sequence[int], b: Sequence[int], k: int) -> tuple[Block, ...] | None:
     """Blocks witnessing that the pair is k-orderly, or None.
 
     Pairs whose convex closure is a single plus class have a canonical answer:
     the minimal k equals the ladder depth, and larger k pad empty top blocks.
-    Everything else falls back to exhaustive cut search, capped at max_merged
+    Everything else falls back to exhaustive cut search, capped at MAX_MERGED
     distinct values.
     """
     _check_pair(a, b)
@@ -328,7 +328,7 @@ def is_k_orderly(
             blocks.extend(Block(last.hi + 1, last.hi + 1) for _ in range(k - analysis.depth - 1))
             blocks.append(Block(last.hi + 1, last.hi, closed=True))
         return tuple(blocks)
-    if len(_merged_values(a, b)) > max_merged:
+    if len(_merged_values(a, b)) > MAX_MERGED:
         raise DecompositionError("pair too large for exhaustive orderliness search")
     return exhaustive_k_orderly(a, b, k)
 

@@ -15,66 +15,27 @@ class EmbeddingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StarOrder:
-    """Linear order with a shadow point below each of base elements, plus a top.
-
-    Element beta is encoded 2*beta + 1, its shadow 2*beta, the top 2*base, so
-    plain integer comparison realizes the order.
-    """
-
-    base: int
-
-    def __post_init__(self) -> None:
-        if self.base < 1:
-            raise ValueError("need base >= 1")
-
-    def real(self, beta: int) -> int:
-        if not 0 <= beta < self.base:
-            raise ValueError("element out of range")
-        return 2 * beta + 1
-
-    @property
-    def top(self) -> int:
-        return 2 * self.base
-
-    @property
-    def size(self) -> int:
-        return 2 * self.base + 1
-
-    def tuple_pred(self, t: Sequence[int]) -> tuple[int, ...]:
-        """Lexicographic predecessor: decrement the last nonzero digit, max out the rest."""
-        t = list(t)
-        for i in range(len(t) - 1, -1, -1):
-            if t[i] > 0:
-                t[i] -= 1
-                for j in range(i + 1, len(t)):
-                    t[j] = self.top
-                return tuple(t)
-        return tuple(t)
+def _pred(t: tuple[int, ...], top: int) -> tuple[int, ...]:
+    """Lexicographic predecessor over digits 0..top: decrement the last nonzero digit, max out the rest."""
+    for i in range(len(t) - 1, -1, -1):
+        if t[i] > 0:
+            return t[:i] + (t[i] - 1,) + (top,) * (len(t) - i - 1)
+    return t
 
 
 @dataclass(frozen=True)
 class LevelMaps:
-    """Per-block digit tuples realizing the ladder of a k-orderly pair.
+    """Star-digit tuples realizing the ladder of a k-orderly pair.
 
-    sets[i] lists the indices whose low value sits in block i; values[(i, beta)]
-    is the k-digit star tuple assigned at level i; tops[i] is the strict upper
-    fence for level i.
+    Index beta sits at block level levels[beta] and gets the k-digit tuple
+    digits[beta]. A digit 2*beta + 1 stands for index beta, 2*beta for the
+    shadow just below it and 2*len(a) for the top, so plain integer
+    comparison realizes the star order.
     """
 
     k: int
-    star: StarOrder
-    sets: tuple[tuple[int, ...], ...]
-    values: dict
-    tops: tuple[tuple[int, ...], ...]
-    level_index: dict
-
-    def level_of(self, beta: int) -> int:
-        return self.level_index[beta]
-
-    def digits(self, beta: int) -> tuple[int, ...]:
-        return self.values[(self.level_index[beta], beta)]
+    levels: tuple[int, ...]
+    digits: tuple[tuple[int, ...], ...]
 
 
 def _check_orderly(a: Sequence[int], b: Sequence[int], k: int, blocks: Sequence[Block]) -> list[int]:
@@ -101,55 +62,37 @@ def build_level_maps(
     the corresponding tuple values.
     """
     levels = _check_orderly(a, b, k, blocks)
-    star = StarOrder(len(a))
-    sets = tuple(tuple(i for i in range(len(a)) if levels[i] == lv) for lv in range(k))
-    if sum(len(s) for s in sets) != len(a):
-        raise EmbeddingError("some index escaped the first k blocks")
+    top = 2 * len(a)
+    sets = [[beta for beta in range(len(a)) if levels[beta] == lv] for lv in range(k)]
 
     zeros = (0,) * k
-    values: dict = {}
-    tops: list[tuple[int, ...] | None] = [None] * k
+    digits: list = [None] * len(a)
+    fences: list = [None] * k
     for beta in sets[k - 1]:
-        values[(k - 1, beta)] = (star.real(beta),) + zeros[: k - 1]
-    tops[k - 1] = (star.top,) + zeros[: k - 1]
+        digits[beta] = (2 * beta + 1,) + zeros[: k - 1]
+    fences[k - 1] = (top,) + zeros[: k - 1]
 
     for i in range(k - 1, 0, -1):
         width = k - i
         for beta in sets[i - 1]:
             gamma = next((xi for xi in sets[i] if b[beta] <= a[xi]), None)
             if gamma is not None and a[gamma] == b[beta]:
-                values[(i - 1, beta)] = values[(i, gamma)]
-            elif gamma is not None:
-                prefix = star.tuple_pred(values[(i, gamma)][:width])
-                values[(i - 1, beta)] = prefix + (star.real(beta),) + zeros[: k - width - 1]
+                digits[beta] = digits[gamma]
             else:
-                prefix = tops[i][:width]
-                values[(i - 1, beta)] = prefix + (star.real(beta),) + zeros[: k - width - 1]
-        tops[i - 1] = tops[i][:width] + (star.top,) + zeros[: k - width - 1]
+                prefix = fences[i][:width] if gamma is None else _pred(digits[gamma][:width], top)
+                digits[beta] = prefix + (2 * beta + 1,) + zeros[: k - width - 1]
+        fences[i - 1] = fences[i][:width] + (top,) + zeros[: k - width - 1]
 
-    maps = LevelMaps(
-        k,
-        star,
-        sets,
-        values,
-        tuple(tops),
-        {beta: lv for lv, group in enumerate(sets) for beta in group},
-    )
-    _verify_level_maps(a, b, maps)
-    return maps
-
-
-def _verify_level_maps(a: Sequence[int], b: Sequence[int], maps: LevelMaps) -> None:
-    for i in range(maps.k):
-        chain = [maps.values[(i, beta)] for beta in maps.sets[i]] + [maps.tops[i]]
+    for i in range(k):
+        chain = [digits[beta] for beta in sets[i]] + [fences[i]]
         for x, y in zip(chain, chain[1:]):
             if not x < y:
                 raise EmbeddingError(f"level {i} digits not strictly increasing: {x} !< {y}")
-    for i in range(1, maps.k):
-        for b1 in maps.sets[i]:
-            for b2 in maps.sets[i - 1]:
+    for i in range(1, k):
+        for b1 in sets[i]:
+            for b2 in sets[i - 1]:
                 left, right = a[b1], b[b2]
-                lo, hi = maps.values[(i, b1)], maps.values[(i - 1, b2)]
+                lo, hi = digits[b1], digits[b2]
                 same = (left == right) == (lo == hi)
                 order = (left < right) == (lo < hi)
                 if not (same and order):
@@ -157,6 +100,7 @@ def _verify_level_maps(a: Sequence[int], b: Sequence[int], maps: LevelMaps) -> N
                         f"cross-level mismatch at i={i}, indices ({b1},{b2}): "
                         f"values ({left},{right}) vs digits ({lo},{hi})"
                     )
+    return LevelMaps(k, tuple(levels), tuple(digits))
 
 
 @dataclass(frozen=True)
@@ -242,9 +186,8 @@ def _ladder_columns(frame: LexFrame, head: tuple[int, ...], maps: LevelMaps, swa
     sign, letter = (-1, frame.radices[len(head)] - 1) if swapped else (1, 0)
     pad = (0,) * (len(frame.radices) - len(head) - 1 - maps.k)
     columns = []
-    for beta in range(len(maps.level_index)):
-        lv = maps.level_of(beta)
-        base = frame.encode(head + (letter,) + maps.digits(beta) + pad)
+    for lv, digits in zip(maps.levels, maps.digits):
+        base = frame.encode(head + (letter,) + digits + pad)
         columns.append((base, sign * step, maps.k - 1 - lv if swapped else lv))
     return columns
 
@@ -278,7 +221,7 @@ def lemma_embedding(
     if n <= k:
         raise ValueError(f"need more letters than the shift order: n = {n} <= k = {k}")
     maps = build_level_maps(a, b, k, blocks)
-    frame = LexFrame((n,) + (maps.star.size,) * k)
+    frame = LexFrame((n,) + (2 * len(a) + 1,) * k)
     return _assemble(lshift_digraph(k, n), frame, otp(a, b), _ladder_columns(frame, (), maps))
 
 
@@ -294,7 +237,7 @@ def cover_embedding(a: Sequence[int], b: Sequence[int], w: CoverWitness, n: int)
     k = w.k
     if n <= k:
         raise ValueError(f"need more letters than the shift order: n = {n} <= k = {k}")
-    frame = LexFrame((len(a), n) + (StarOrder(len(a)).size,) * k)
+    frame = LexFrame((len(a), n) + (2 * len(a) + 1,) * k)
     columns = []
     for pi, p in enumerate(w.pieces):
         if p.kind == "equal":

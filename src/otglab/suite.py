@@ -33,7 +33,7 @@ from .embedding import EmbeddingMap, cover_embedding, verify_embedding
 from .graphs import FiniteGraph
 from .oracles import brute_chromatic, closure_oracle, exhaustive_min_k
 from .rng import SplitMix64, case_seed, random_pair
-from .seqs import LexFrame, otp, remap_monotone
+from .seqs import MAX_TUPLE_LEN, LexFrame, otp, remap_monotone
 
 DECOMP_CHECKS = (
     "sign-purity",
@@ -49,6 +49,13 @@ DECOMP_CHECKS = (
 class SuiteCaps:
     max_len: int = 8
     value_bound: int = 32
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.max_len <= MAX_TUPLE_LEN or self.value_bound < 2:
+            raise ValueError(
+                f"need 1 <= max_len <= {MAX_TUPLE_LEN} and value_bound >= 2, "
+                f"got max_len = {self.max_len}, value_bound = {self.value_bound}"
+            )
 
     def to_json(self) -> dict:
         return {"max_len": self.max_len, "value_bound": self.value_bound}

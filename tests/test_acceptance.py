@@ -186,12 +186,12 @@ def check_level_maps_pattern(a, b, k, blocks):
     """Independent (dagger) check: slice order types match their g-images."""
     maps = build_level_maps(a, b, k, blocks)
     for i in range(1, k):
-        upper = maps.sets[i]
-        lower = maps.sets[i - 1]
+        upper = [beta for beta, lv in enumerate(maps.levels) if lv == i]
+        lower = [beta for beta, lv in enumerate(maps.levels) if lv == i - 1]
         a_slice = [a[beta] for beta in upper]
         b_slice = [b[beta] for beta in lower]
-        g_upper = [maps.values[(i, beta)] for beta in upper]
-        g_lower = [maps.values[(i - 1, beta)] for beta in lower]
+        g_upper = [maps.digits[beta] for beta in upper]
+        g_lower = [maps.digits[beta] for beta in lower]
         assert slice_ranks(a_slice, b_slice) == slice_ranks(g_upper, g_lower), (
             a,
             b,

@@ -11,15 +11,8 @@ from otglab import LexFrame, graph_from_json, shift_graph
 RUN = [sys.executable, "-m", "otglab"]
 
 
-def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        RUN + list(args), capture_output=True, text=True, env=full_env
-    )
+def run_cli(*args):
+    return subprocess.run(RUN + list(args), capture_output=True, text=True)
 
 
 def test_gen_sh_json_round_trip():
@@ -83,25 +76,11 @@ def test_chi_budget_exit_code():
     assert doc["lower"] <= doc["upper"]
 
 
-def test_chi_env_budget():
-    res = run_cli("chi", "--r", "2", "--n", "8", env={"OTG_BUDGET": "1"})
-    assert res.returncode == 3
-    # explicit flag beats the environment
-    res2 = run_cli(
-        "chi", "--r", "2", "--n", "8", "--budget", "100000", env={"OTG_BUDGET": "1"}
-    )
-    assert res2.returncode == 0
-    assert json.loads(res2.stdout)["chi"] == 3
-
-
 def test_chi_negative_budget_is_usage_error():
-    for res in (
-        run_cli("chi", "--r", "2", "--n", "5", "--budget", "-3"),
-        run_cli("chi", "--r", "2", "--n", "5", env={"OTG_BUDGET": "-3"}),
-    ):
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert len(res.stderr.strip().splitlines()) == 1
+    res = run_cli("chi", "--r", "2", "--n", "5", "--budget", "-3")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert len(res.stderr.strip().splitlines()) == 1
 
 
 def test_chi_input_schema_errors_are_usage_errors(tmp_path):
@@ -207,6 +186,17 @@ def test_suite_sweep():
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["ok"] is True
+
+
+def test_suite_max_len_above_tuple_cap_is_usage_error():
+    # tuples longer than the package cap cannot be built, so no case may draw one
+    for extra in ((), ("--sweep",)):
+        res = run_cli("suite", "--max-len", "17", "--value-bound", "200", "--count", "100", *extra)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.strip().splitlines() == [
+            "error: need 1 <= max_len <= 16 and value_bound >= 2, got max_len = 17, value_bound = 200"
+        ]
 
 
 def test_suite_sweep_negative_count_is_usage_error():

@@ -203,8 +203,8 @@ def test_is_k_orderly_equal_pair_has_no_witness():
 def test_is_k_orderly_cap():
     a = tuple(range(0, 60, 2))
     b = tuple(range(1, 61, 2))
-    with pytest.raises(ValueError):
-        is_k_orderly(a, b, 2, max_merged=10)
+    with pytest.raises(ValueError, match="pair too large for exhaustive orderliness search"):
+        is_k_orderly(a, b, 2)
 
 
 def test_exhaustive_allows_empty_blocks():

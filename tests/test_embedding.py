@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -13,7 +14,6 @@ from otglab import (
     EmbeddingError,
     EmbeddingMap,
     IncreasingTuple,
-    StarOrder,
     analyze_class,
     build_level_maps,
     convex_closure,
@@ -27,6 +27,7 @@ from otglab import (
     verify_embedding,
 )
 from otglab.decompose import plus_oriented
+from otglab.embedding import _pred
 from otglab.oracles import embedding_oracle
 
 
@@ -47,59 +48,39 @@ DEEP_BLOCKS = (
 )
 
 
-def test_star_order_layout():
-    s = StarOrder(3)
-    assert s.size == 7
-    assert s.top == 6
-    assert [s.real(i) for i in range(3)] == [1, 3, 5]
-    # shadows sit immediately below their elements, the top above everything
-    assert all(s.real(i) - 1 not in (s.real(j) for j in range(3)) for i in range(3))
-    assert s.top > s.real(2)
-    with pytest.raises(ValueError):
-        StarOrder(0)
-    with pytest.raises(ValueError):
-        StarOrder(2).real(2)
-
-
 def test_tuple_pred():
-    s = StarOrder(2)  # carrier 0..4
-    assert s.tuple_pred((3, 0)) == (2, 4)
-    assert s.tuple_pred((3, 2)) == (3, 1)
-    assert s.tuple_pred((0, 0)) == (0, 0)  # no predecessor: unchanged
-    assert s.tuple_pred((1,)) == (0,)
+    # digits 0..4
+    assert _pred((3, 0), 4) == (2, 4)
+    assert _pred((3, 2), 4) == (3, 1)
+    assert _pred((0, 0), 4) == (0, 0)  # no predecessor: unchanged
+    assert _pred((1,), 4) == (0,)
 
 
 def test_level_maps_shift_pair():
     an = class_blocks((0, 1), (1, 2))
     maps = build_level_maps((0, 1), (1, 2), 2, an.blocks)
-    assert maps.sets == ((0,), (1,))
-    # the equal case copies the level-1 value down verbatim
-    assert maps.values[(1, 1)] == (3, 0)
-    assert maps.values[(0, 0)] == (3, 0)
-    assert maps.tops == ((4, 4), (4, 0))
+    assert maps.levels == (0, 1)
+    # the equal case copies the level-1 digits down verbatim
+    assert maps.digits == ((3, 0), (3, 0))
 
 
 def test_level_maps_regression_depth_three():
     # the strict case must predecessor the populated prefix, not the level index
     a, b = DEEP_A, DEEP_B
     maps = build_level_maps(a, b, 3, DEEP_BLOCKS)
-    assert maps.sets == ((0,), (1, 2), (3,))
-    assert maps.values[(2, 3)] == (7, 0, 0)
-    assert maps.values[(1, 1)] == (6, 3, 0)
-    assert maps.values[(1, 2)] == (6, 5, 0)
-    assert maps.values[(0, 0)] == (6, 4, 1)
+    assert maps.levels == (0, 1, 1, 2)
+    assert maps.digits == ((6, 4, 1), (6, 3, 0), (6, 5, 0), (7, 0, 0))
 
 
 def test_level_maps_cross_level_trichotomy():
     a, b = DEEP_A, DEEP_B
     maps = build_level_maps(a, b, 3, DEEP_BLOCKS)
-    for i in range(1, 3):
-        for b2 in maps.sets[i - 1]:
-            for b1 in maps.sets[i]:
-                lhs = (a[b1] > b[b2]) - (a[b1] < b[b2])
-                g1, g0 = maps.values[(i, b1)], maps.values[(i - 1, b2)]
-                rhs = (g1 > g0) - (g1 < g0)
-                assert lhs == rhs
+    for b2, b1 in itertools.product(range(len(a)), repeat=2):
+        if maps.levels[b1] == maps.levels[b2] + 1:
+            lhs = (a[b1] > b[b2]) - (a[b1] < b[b2])
+            g1, g0 = maps.digits[b1], maps.digits[b2]
+            rhs = (g1 > g0) - (g1 < g0)
+            assert lhs == rhs
 
 
 def test_level_maps_pattern_on_dense_cover_pieces():

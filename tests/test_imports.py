@@ -20,7 +20,7 @@ EXPORTS = {
         "verify_cover",
     ],
     "embedding": [
-        "EmbeddingError", "EmbeddingMap", "LevelMaps", "StarOrder", "build_level_maps",
+        "EmbeddingError", "EmbeddingMap", "LevelMaps", "build_level_maps",
         "cover_embedding", "lemma_embedding", "verify_embedding",
     ],
     "graphs": [

@@ -94,6 +94,13 @@ def test_caps_respected():
         assert len(a) <= 3 and max(a + b) < 9
 
 
+def test_suite_caps_reject_out_of_range():
+    for caps in ({"max_len": 17}, {"max_len": 0}, {"value_bound": 1}):
+        with pytest.raises(ValueError, match="need 1 <= max_len <= 16 and value_bound >= 2"):
+            SuiteCaps(**caps)
+    assert SuiteCaps(max_len=16, value_bound=2).max_len == 16
+
+
 def test_report_json_shape():
     report = run_suite(2, 10)
     doc = json.loads(json.dumps(report.to_json()))

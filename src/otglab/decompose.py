@@ -12,7 +12,6 @@ from .seqs import json_bool, json_ints
 ZERO = "zero"
 PLUS = "plus"
 MINUS = "minus"
-# is_k_orderly's exhaustive cut search runs only on pairs with at most this many distinct values.
 MAX_MERGED = 24
 
 

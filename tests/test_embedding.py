@@ -49,7 +49,6 @@ DEEP_BLOCKS = (
 
 
 def test_tuple_pred():
-    # digits 0..4
     assert _pred((3, 0), 4) == (2, 4)
     assert _pred((3, 2), 4) == (3, 1)
     assert _pred((0, 0), 4) == (0, 0)  # no predecessor: unchanged

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import dense_pairs as golden_dense_pairs
 
 from otglab import (
     Block,
@@ -172,6 +173,72 @@ def test_shift_levels_rejects_a_value_with_two_homes():
 def test_shift_levels_rejects_a_jump_of_two_blocks():
     blocks = (Block(0, 2), Block(2, 4), Block(4, 6, closed=True))
     assert shift_levels((1,), (5,), blocks) is None
+
+
+def unique_home_levels(lo_t, hi_t, blocks):
+    """shift_levels as its definition reads: scan every block for each value's one home."""
+
+    def homes(x):
+        return [m for m, blk in enumerate(blocks) if (blk.lo <= x <= blk.hi if blk.closed else blk.lo <= x < blk.hi)]
+
+    levels = []
+    for x, y in zip(lo_t, hi_t):
+        hx, hy = homes(x), homes(y)
+        if len(hx) != 1 or hy != [hx[0] + 1]:
+            return None
+        levels.append(hx[0])
+    return levels
+
+
+def random_blocks(rnd):
+    """1-6 blocks with bounds in -1..9: half cut in order like the builders, half drawn freely."""
+    count = rnd.randint(1, 6)
+    if rnd.random() < 0.5:
+        cuts = sorted(rnd.randint(-1, 9) for _ in range(count))
+        blocks = [Block(lo, hi, rnd.random() < 0.2) for lo, hi in zip(cuts, cuts[1:])]
+        return blocks + [Block(cuts[-1], rnd.randint(-1, 9), rnd.random() < 0.8)]
+    return [Block(rnd.randint(-1, 9), rnd.randint(-1, 9), rnd.random() < 0.5) for _ in range(count)]
+
+
+def value_near(rnd, blk):
+    """Mostly a value between the block's two bounds, sometimes any value in -2..10."""
+    if rnd.random() < 0.1:
+        return rnd.randint(-2, 10)
+    return rnd.randint(min(blk.lo, blk.hi), max(blk.lo, blk.hi))
+
+
+def test_shift_levels_matches_unique_home_scan_on_random_blocks():
+    # empty, inverted, overlapping, out-of-order and closed-in-the-middle blocks all occur
+    rnd = random.Random(15)
+    accepted = 0
+    for _ in range(20_000):
+        blocks = random_blocks(rnd)
+        lo_t, hi_t = [], []
+        for _ in range(rnd.randint(1, 3)):
+            m = rnd.randrange(len(blocks))
+            lo_t.append(value_near(rnd, blocks[m]))
+            hi_t.append(value_near(rnd, blocks[min(m + 1, len(blocks) - 1)]))
+        want = unique_home_levels(lo_t, hi_t, blocks)
+        assert shift_levels(lo_t, hi_t, blocks) == want, (lo_t, hi_t, blocks)
+        accepted += want is not None
+    assert accepted > 500, accepted
+
+
+def test_shift_levels_matches_unique_home_scan_on_dense_cover_pieces():
+    pieces = 0
+    for a, b in golden_dense_pairs():
+        for p in orderly_cover(a, b).pieces:
+            if p.kind == "equal":
+                continue
+            lo_t, hi_t = tuple(a[i] for i in p.indices), tuple(b[i] for i in p.indices)
+            if p.kind == "B":
+                lo_t, hi_t = hi_t, lo_t
+            # the padded witness adds an empty block and an inverted closed tail
+            for blocks in (p.blocks, is_k_orderly(lo_t, hi_t, p.k + 2)):
+                levels = shift_levels(lo_t, hi_t, blocks)
+                assert levels is not None and levels == unique_home_levels(lo_t, hi_t, blocks), (a, b, p)
+            pieces += 1
+    assert pieces > 400, pieces
 
 
 def test_is_k_orderly_examples():

@@ -317,6 +317,100 @@ def test_embedding_from_json_takes_only_json_integers(path, value, field):
     assert not isinstance(info.value, EmbeddingError)
 
 
+def small_doc() -> dict:
+    """Six images in a frame of size 200: [15, 40], [15, 65], [15, 90], [40, 65], [40, 90], [65, 90]."""
+    return cover_embedding((0, 1), (1, 2), orderly_cover((0, 1), (1, 2)), 4).to_json()
+
+
+def set_value(j, v):
+    def fault(images, i):
+        images[i]["values"][j] = v
+
+    return fault
+
+
+def set_entry(entry):
+    def fault(images, i):
+        images[i] = entry(images[i])
+
+    return fault
+
+
+# (fault, exception type, message given the image's original values)
+IMAGE_FAULTS = {
+    "bool": (set_value(1, True), ValueError, lambda vals: "image values must be JSON integers, got True"),
+    "float": (set_value(0, 1.5), ValueError, lambda vals: "image values must be JSON integers, got 1.5"),
+    "string": (set_value(0, "15"), ValueError, lambda vals: "image values must be JSON integers, got '15'"),
+    "negative": (set_value(0, -1), ValueError, lambda vals: "value -1 outside [0, 199]"),
+    "above cap": (set_value(1, 200), ValueError, lambda vals: "value 200 outside [0, 199]"),
+    "not increasing": (
+        set_entry(lambda e: {"values": e["values"][::-1]}),
+        ValueError,
+        lambda vals: f"values not strictly increasing: {vals[1]} before {vals[0]}",
+    ),
+    "empty": (set_entry(lambda e: {"values": []}), ValueError, lambda vals: "increasing tuple must be nonempty"),
+    "entry a list": (
+        set_entry(lambda e: e["values"]),
+        TypeError,
+        lambda vals: "list indices must be integers or slices, not str",
+    ),
+    "entry a number": (set_entry(lambda e: 7), TypeError, lambda vals: "'int' object is not subscriptable"),
+    "no values": (set_entry(lambda e: {"value": e["values"]}), KeyError, lambda vals: "'values'"),
+    "values a number": (set_entry(lambda e: {"values": 15}), TypeError, lambda vals: "'int' object is not iterable"),
+    "values a string": (
+        set_entry(lambda e: {"values": "15"}),
+        ValueError,
+        lambda vals: "image values must be JSON integers, got '1'",
+    ),
+    "values an object": (
+        set_entry(lambda e: {"values": {"15": 15}}),
+        ValueError,
+        lambda vals: "image values must be JSON integers, got '15'",
+    ),
+}
+
+
+@pytest.mark.parametrize("image", [0, 4])
+@pytest.mark.parametrize("kind", list(IMAGE_FAULTS))
+def test_embedding_from_json_names_the_first_image_fault(kind, image):
+    doc = small_doc()
+    fault, exc_type, message = IMAGE_FAULTS[kind]
+    vals = list(doc["images"][image]["values"])
+    fault(doc["images"], image)
+    with pytest.raises(exc_type) as info:
+        EmbeddingMap.from_json(doc)
+    assert type(info.value) is exc_type and str(info.value) == message(vals)
+
+
+@pytest.mark.parametrize(
+    "first, later, exc_type, message",
+    [
+        ("negative", "bool", ValueError, "value -1 outside [0, 199]"),
+        ("bool", "empty", ValueError, "image values must be JSON integers, got True"),
+        ("not increasing", "entry a list", ValueError, "values not strictly increasing: 65 before 15"),
+        ("no values", "above cap", KeyError, "'values'"),
+    ],
+)
+def test_embedding_from_json_names_the_fault_of_the_earlier_image(first, later, exc_type, message):
+    doc = small_doc()
+    IMAGE_FAULTS[first][0](doc["images"], 1)
+    IMAGE_FAULTS[later][0](doc["images"], 3)
+    with pytest.raises(exc_type) as info:
+        EmbeddingMap.from_json(doc)
+    assert type(info.value) is exc_type and str(info.value) == message
+
+
+def test_embedding_from_json_loads_images_of_mixed_length():
+    doc = cover_embedding(DEEP_A, DEEP_B, orderly_cover(DEEP_A, DEEP_B), 4).to_json()
+    short = doc["images"][0]["values"][:-1]
+    doc["images"][0]["values"] = short
+    emb = EmbeddingMap.from_json(doc)
+    assert all(type(img) is IncreasingTuple for img in emb.images)
+    assert list(emb.images[0]) == short and {len(img) for img in emb.images} == {3, 4}
+    with pytest.raises(ValueError, match=r"^length mismatch: 3 vs 4$"):
+        verify_embedding(emb)
+
+
 def test_embedding_images_are_increasing_and_injective():
     a, b = (0, 1, 3, 6), (2, 4, 5, 7)
     w = orderly_cover(a, b)

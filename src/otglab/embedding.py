@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, prod
-from typing import Sequence
+from operator import itemgetter, lt
+from typing import Callable, Sequence
 
 from .decompose import Block, CoverWitness, plus_oriented, shift_levels, verify_cover
 from .graphs import FiniteDigraph, FiniteGraph, lshift_digraph, shift_graph
-from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, _ranks, json_bool, json_ints, otp
+from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, _increasing_rows, _ranks, json_bool, json_ints, otp
 
 
 class EmbeddingError(ValueError):
@@ -136,10 +138,21 @@ class EmbeddingMap:
         loads only if it lists exactly that graph.
         """
         frame = LexFrame(json_ints(data["frame"], "frame radices"))
-        images = []
-        for entry in data["images"]:
-            values = json_ints(entry["values"], "image values")
-            images.append(IncreasingTuple(values, max_len=len(values), max_value=frame.size - 1))
+        cap = frame.size - 1
+        entries = data["images"]
+        rows = [e["values"] for e in entries if type(e) is dict and type(e.get("values")) is list]
+        if (
+            len(rows) == len(entries)
+            and len(set(map(len, rows))) <= 1
+            and set(map(type, chain.from_iterable(rows))) <= {int}
+        ):
+            images = _increasing_rows(rows, cap)
+        else:
+            # anything else is read image by image, so the first fault is named first
+            images = []
+            for entry in entries:
+                values = json_ints(entry["values"], "image values")
+                images.append(IncreasingTuple(values, max_len=len(values), max_value=cap))
         if "shift" in data:
             shift = data["shift"]
             k, n, directed = shift["k"], shift["n"], shift["directed"]
@@ -159,21 +172,57 @@ class EmbeddingMap:
         return cls(source, frame, tuple(images), OrderTypePattern.from_json(data["pattern"]))
 
 
+def _realizer(pattern: OrderTypePattern) -> Callable[[tuple, tuple], bool]:
+    """Test of whether (x, y), two tuples of the pattern's length, realizes the pattern.
+
+    One gather reads x + y at the first position of each rank, in rank order.
+    The pair realizes the pattern exactly when that read strictly increases
+    and each tie of the pattern (x_i and y_j of one rank) reads one value at
+    both positions: then every value has its pattern rank in the merged set.
+    """
+    ranks = pattern.ranks_a + pattern.ranks_b
+    first: dict[int, int] = {}
+    for pos, r in enumerate(ranks):
+        first.setdefault(r, pos)
+    if len(first) == 1:  # one value in each tuple, and the two are equal
+        return lambda x, y: x == y
+    rise = itemgetter(*(first[r] for r in range(len(first))))
+    ties = [(first[r], pos) for pos, r in enumerate(ranks) if first[r] != pos]
+    # both tie reads start at position 0, so neither is empty (an itemgetter needs an index)
+    left = itemgetter(0, *(p for p, _ in ties))
+    right = itemgetter(0, *(q for _, q in ties))
+
+    def realizes(x: tuple, y: tuple) -> bool:
+        xy = x + y
+        r = rise(xy)
+        return all(map(lt, r, r[1:])) and left(xy) == right(xy)
+
+    return realizes
+
+
 def verify_embedding(emb: EmbeddingMap) -> bool:
     """Check every edge or arc of the source realizes the pattern through the images.
 
     Arcs must realize it in arc direction; undirected edges in at least one
-    direction. Each edge compares the rank rows of its two images with the
-    pattern's; the reversed direction has the same rows swapped.
+    direction. When every image has the pattern's length, each direction is
+    one gather (_realizer). Otherwise each direction compares the rank rows
+    of its two images with the pattern's, and raises if their lengths differ.
     """
     images = emb.images
     if len(images) != emb.source.n:
         return False
-    want = (emb.pattern.ranks_a, emb.pattern.ranks_b)
+    pattern = emb.pattern
+    if set(map(len, images)) <= {pattern.length}:
+        realizes = _realizer(pattern)
+    else:
+        want = (pattern.ranks_a, pattern.ranks_b)
+
+        def realizes(x: tuple, y: tuple) -> bool:
+            return _ranks(x, y) == want
+
     if isinstance(emb.source, FiniteDigraph):
-        return all(_ranks(images[u], images[v]) == want for u, v in emb.source.arcs)
-    swapped = want[::-1]
-    return all(_ranks(images[u], images[v]) in (want, swapped) for u, v in emb.source.edges)
+        return all(realizes(images[u], images[v]) for u, v in emb.source.arcs)
+    return all(realizes(images[u], images[v]) or realizes(images[v], images[u]) for u, v in emb.source.edges)
 
 
 def _ladder_columns(frame: LexFrame, head: tuple[int, ...], maps: LevelMaps, swapped: bool = False) -> list:
@@ -195,15 +244,20 @@ def _ladder_columns(frame: LexFrame, head: tuple[int, ...], maps: LevelMaps, swa
 def _assemble(
     source: FiniteGraph | FiniteDigraph, frame: LexFrame, pattern: OrderTypePattern, columns: list
 ) -> EmbeddingMap:
-    """Image coordinate j of vertex eta is base_j + step_j * eta[slot_j]; every edge or arc is checked."""
-    cap = frame.size - 1
-    images = tuple(
-        IncreasingTuple(
-            [base + step * eta[slot] for base, step, slot in columns], max_len=len(columns), max_value=cap
-        )
-        for eta in source.vertices
-    )
-    emb = EmbeddingMap(source, frame, images, pattern)
+    """Image coordinate j of vertex eta is base_j + step_j * eta[slot_j]; every edge or arc is checked.
+
+    Each coordinate column is one table lookup per vertex: the column's value
+    for each of the n letters, read at the vertex's letter in its slot.
+    """
+    vertices = source.vertices
+    letters = range(vertices[-1][-1] + 1)
+    slots: dict[int, list[int]] = {}
+    coords = []
+    for base, step, slot in columns:
+        if slot not in slots:
+            slots[slot] = list(map(itemgetter(slot), vertices))
+        coords.append(map([base + step * x for x in letters].__getitem__, slots[slot]))
+    emb = EmbeddingMap(source, frame, _increasing_rows(list(zip(*coords)), frame.size - 1), pattern)
     if not verify_embedding(emb):
         raise EmbeddingError("constructed images fail the pattern check")
     return emb

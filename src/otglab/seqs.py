@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import prod
 from operator import lt
@@ -38,6 +39,29 @@ class IncreasingTuple(tuple):
         ):
             _reject(vals, max_len, max_value)
         return super().__new__(cls, vals)
+
+
+_trusted = partial(tuple.__new__, IncreasingTuple)
+
+
+def _increasing_rows(rows: Sequence[Sequence[int]], max_value: int) -> tuple[IncreasingTuple, ...]:
+    """IncreasingTuples of equal-length integer rows, each row's length its own cap.
+
+    One C-level pass per column accepts them all: the first column is >= 0,
+    the last is <= max_value and each column lies strictly below the next.
+    Together these are every check IncreasingTuple makes on such a row, so
+    accepted rows skip it; nowhere else does. If a column fails, each row is
+    built through IncreasingTuple, which names the first fault.
+    """
+    columns = list(zip(*rows))
+    if (
+        columns
+        and min(columns[0]) >= 0
+        and max(columns[-1]) <= max_value
+        and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
+    ):
+        return tuple(map(_trusted, rows))
+    return tuple(IncreasingTuple(row, max_len=len(row), max_value=max_value) for row in rows)
 
 
 def _reject(vals: tuple[int, ...], max_len: int, max_value: int) -> None:

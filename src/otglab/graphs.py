@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .seqs import OrderTypePattern
+from .seqs import OrderTypePattern, json_ints
 
 
 def _label_json(label):
@@ -16,6 +16,14 @@ def _label_json(label):
 
 def _label_from_json(label):
     return tuple(label) if isinstance(label, list) else label
+
+
+def _json_pairs(pairs: Iterable, what: str) -> list[tuple]:
+    """The pairs as tuples, provided every entry is a JSON integer; one type pass covers them all."""
+    out = [tuple(p) for p in pairs]
+    if not set(map(type, chain.from_iterable(out))) <= {int}:
+        json_ints(chain.from_iterable(out), what)
+    return out
 
 
 def _label_dot(label) -> str:
@@ -77,7 +85,7 @@ class FiniteGraph:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGraph":
         vertices = [_label_from_json(v) for v in data["vertices"]]
-        return cls(vertices, [tuple(e) for e in data["edges"]])
+        return cls(vertices, _json_pairs(data["edges"], "edge endpoints"))
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -135,7 +143,7 @@ class FiniteDigraph:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteDigraph":
         vertices = [_label_from_json(v) for v in data["vertices"]]
-        return cls(vertices, [tuple(a) for a in data["arcs"]])
+        return cls(vertices, _json_pairs(data["arcs"], "arc endpoints"))
 
     def to_dot(self) -> str:
         lines = ["digraph G {"]

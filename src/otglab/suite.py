@@ -19,6 +19,7 @@ from .decompose import (
     ZERO,
     ConvexClass,
     CoverWitness,
+    _cover,
     analyze_class,
     classes_separated,
     convex_closure,
@@ -89,7 +90,7 @@ class _Case:
 
     @cached_property
     def cover(self) -> CoverWitness:
-        return orderly_cover(self.a, self.b)
+        return _cover(self.classes, [analysis for *_, analysis in self.ladders])
 
 
 def _fail(detail: str) -> tuple[str, str]:

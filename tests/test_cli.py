@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from test_decompose import SPLIT_COVER
 
 from otglab import LexFrame, graph_from_json, shift_graph
@@ -97,6 +99,22 @@ def test_chi_input_schema_errors_are_usage_errors(tmp_path):
         assert res.returncode == 2, doc
         assert "Traceback" not in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": [0, 1, 2], "edges": [[True, 2], [0, 1]]}, "edge endpoints must be JSON integers, got True"),
+        ({"vertices": [0, 1, 2], "edges": [[1.0, 2], [0, 1]]}, "edge endpoints must be JSON integers, got 1.0"),
+        ({"vertices": [0, 1], "arcs": [[0, True]]}, "arc endpoints must be JSON integers, got True"),
+    ],
+)
+def test_chi_input_takes_only_json_integer_endpoints(tmp_path, doc, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("chi", "--input", str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.strip() == f"error: {message}"
 
 
 def test_chi_missing_args():
@@ -309,6 +327,19 @@ def test_verify_schema_errors_are_usage_errors(tmp_path):
         assert res.returncode == 2, doc
         assert "Traceback" not in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
+
+
+def test_verify_coloring_takes_only_json_integer_endpoints(tmp_path):
+    # the endpoint true was once read as vertex 1, and the document verified
+    doc = {
+        "graph": {"vertices": [0, 1, 2], "edges": [[True, 2], [0, 1]]},
+        "coloring": {"palette": 2, "colors": [0, 1, 0]},
+    }
+    path = tmp_path / "coloring.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("verify", str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.strip() == "error: edge endpoints must be JSON integers, got True"
 
 
 def test_verify_missing_file():

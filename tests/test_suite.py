@@ -147,7 +147,7 @@ def test_run_case_decomposes_its_pair_once(monkeypatch):
 
         return wrapper
 
-    for name in ("orderly_cover", "convex_closure"):
+    for name in ("orderly_cover", "convex_closure", "analyze_class"):
         monkeypatch.setattr(otglab.suite, name, counting(otglab.suite, name))
     monkeypatch.setattr(otglab.decompose, "convex_closure", counting(otglab.decompose, "convex_closure"))
     caps = SuiteCaps()
@@ -160,15 +160,20 @@ def test_run_case_decomposes_its_pair_once(monkeypatch):
         case = run_case(stream_seed, caps)
         assert all(outcome != "fail" for outcome, _ in case["results"].values())
         own = [name for name, a, b in calls if (a, b) == pair]
-        assert own.count("orderly_cover") == 1
+        # the cover is put together from the case's own closure and class analyses
+        assert "orderly_cover" not in own
+        assert own.count("analyze_class") == sum(cls.sign != "zero" for cls in closure_oracle(*pair))
         assert own.count("convex_closure") <= 2
 
 
 # The checks that read each case fact, keyed by the function that builds it.
+# The cover is built from the closure and the class analyses, so its readers read those too.
+COVER_READERS = {"cover-verifies", "orderly-oracle", "embedding"}
 FACT_READERS = {
-    "convex_closure": {"sign-purity", "class-separation", "closure-confluence", "block-shift", "zeta-chain"},
-    "analyze_class": {"block-shift", "zeta-chain"},
-    "orderly_cover": {"cover-verifies", "orderly-oracle", "embedding"},
+    "convex_closure": {"sign-purity", "class-separation", "closure-confluence", "block-shift", "zeta-chain"}
+    | COVER_READERS,
+    "analyze_class": {"block-shift", "zeta-chain"} | COVER_READERS,
+    "_cover": COVER_READERS,
 }
 
 

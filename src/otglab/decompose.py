@@ -194,20 +194,21 @@ def shift_levels(lo_t: Sequence[int], hi_t: Sequence[int], blocks: Sequence[Bloc
     """Block index of each lo_t[i] when the blocks certify a one-step ladder, else None.
 
     Certifying means every value of both tuples lies in exactly one block and
-    each hi_t[i] lies exactly one block above lo_t[i]. Values and bounds are
-    integers, so a block holds the half-open span [lo, hi), or [lo, hi + 1)
-    when closed. Empty spans hold nothing. When the other spans are disjoint
-    and in order, as every builder makes them, a value's one home is found by
-    bisection; otherwise every block is scanned for it.
+    each hi_t[i] lies exactly one block above lo_t[i]. Empty blocks (those
+    without their own lo) hold nothing. When the others lie wholly below one
+    another in list order, as every builder makes them, a value's only
+    candidate is the last block starting at or below it, found by bisection;
+    otherwise every block is scanned for it.
     """
-    spans = [(blk.lo, blk.hi + 1 if blk.closed else blk.hi, m) for m, blk in enumerate(blocks)]
-    spans = [span for span in spans if span[0] < span[1]]
-    if all(end <= start for (_, end, _), (start, _, _) in zip(spans, spans[1:])):
-        starts = [start for start, _, _ in spans]
+    live = [m for m, blk in enumerate(blocks) if blk.contains(blk.lo)]
+    if all(
+        blocks[m].hi <= blocks[n].lo and not blocks[m].contains(blocks[n].lo) for m, n in zip(live, live[1:])
+    ):
+        starts = [blocks[m].lo for m in live]
 
         def home(x: int) -> int | None:
             i = bisect_right(starts, x) - 1
-            return spans[i][2] if i >= 0 and x < spans[i][1] else None
+            return live[i] if i >= 0 and blocks[live[i]].contains(x) else None
 
     else:
 

@@ -41,9 +41,6 @@ class IncreasingTuple(tuple):
         return super().__new__(cls, vals)
 
 
-_trusted = partial(tuple.__new__, IncreasingTuple)
-
-
 def _increasing_rows(rows: Sequence[Sequence[int]], max_value: int) -> tuple[IncreasingTuple, ...]:
     """IncreasingTuples of equal-length integer rows, each row's length its own cap.
 
@@ -60,7 +57,7 @@ def _increasing_rows(rows: Sequence[Sequence[int]], max_value: int) -> tuple[Inc
         and max(columns[-1]) <= max_value
         and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
     ):
-        return tuple(map(_trusted, rows))
+        return tuple(map(partial(tuple.__new__, IncreasingTuple), rows))
     return tuple(IncreasingTuple(row, max_len=len(row), max_value=max_value) for row in rows)
 
 

@@ -244,20 +244,9 @@ def _ladder_columns(frame: LexFrame, head: tuple[int, ...], maps: LevelMaps, swa
 def _assemble(
     source: FiniteGraph | FiniteDigraph, frame: LexFrame, pattern: OrderTypePattern, columns: list
 ) -> EmbeddingMap:
-    """Image coordinate j of vertex eta is base_j + step_j * eta[slot_j]; every edge or arc is checked.
-
-    Each coordinate column is one table lookup per vertex: the column's value
-    for each of the n letters, read at the vertex's letter in its slot.
-    """
-    vertices = source.vertices
-    letters = range(vertices[-1][-1] + 1)
-    slots: dict[int, list[int]] = {}
-    coords = []
-    for base, step, slot in columns:
-        if slot not in slots:
-            slots[slot] = list(map(itemgetter(slot), vertices))
-        coords.append(map([base + step * x for x in letters].__getitem__, slots[slot]))
-    emb = EmbeddingMap(source, frame, _increasing_rows(list(zip(*coords)), frame.size - 1), pattern)
+    """Image coordinate j of vertex eta is base_j + step_j * eta[slot_j]; every edge or arc is checked."""
+    rows = [[base + step * eta[slot] for base, step, slot in columns] for eta in source.vertices]
+    emb = EmbeddingMap(source, frame, _increasing_rows(rows, frame.size - 1), pattern)
     if not verify_embedding(emb):
         raise EmbeddingError("constructed images fail the pattern check")
     return emb

@@ -141,11 +141,7 @@ class EmbeddingMap:
         cap = frame.size - 1
         entries = data["images"]
         rows = [e["values"] for e in entries if type(e) is dict and type(e.get("values")) is list]
-        if (
-            len(rows) == len(entries)
-            and len(set(map(len, rows))) <= 1
-            and set(map(type, chain.from_iterable(rows))) <= {int}
-        ):
+        if len(rows) == len(entries) and set(map(type, chain.from_iterable(rows))) <= {int}:
             images = _increasing_rows(rows, cap)
         else:
             # anything else is read image by image, so the first fault is named first

@@ -42,17 +42,19 @@ class IncreasingTuple(tuple):
 
 
 def _increasing_rows(rows: Sequence[Sequence[int]], max_value: int) -> tuple[IncreasingTuple, ...]:
-    """IncreasingTuples of equal-length integer rows, each row's length its own cap.
+    """IncreasingTuples of integer rows, each row's length its own cap.
 
-    One C-level pass per column accepts them all: the first column is >= 0,
-    the last is <= max_value and each column lies strictly below the next.
-    Together these are every check IncreasingTuple makes on such a row, so
-    accepted rows skip it; nowhere else does. If a column fails, each row is
-    built through IncreasingTuple, which names the first fault.
+    When the rows have one length, one C-level pass per column accepts them
+    all: the first column is >= 0, the last is <= max_value and each column
+    lies strictly below the next. Together these are every check
+    IncreasingTuple makes on such a row, so accepted rows skip it; nowhere
+    else does. Otherwise (rows of mixed length, or a failed column) each row
+    is built through IncreasingTuple, which names the first fault.
     """
     columns = list(zip(*rows))
     if (
         columns
+        and len(set(map(len, rows))) == 1
         and min(columns[0]) >= 0
         and max(columns[-1]) <= max_value
         and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))

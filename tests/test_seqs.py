@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from otglab import IncreasingTuple, LexFrame, OrderTypePattern, otp, remap_monotone
-from otglab.seqs import increasing_tuples
+from otglab.seqs import _increasing_rows, increasing_tuples
 
 
 def test_increasing_tuple_accepts_strict():
@@ -54,6 +54,33 @@ def test_increasing_tuple_fault_texts(values, caps, message):
     with pytest.raises(ValueError) as exc:
         IncreasingTuple(values, **caps)
     assert str(exc.value) == message
+
+
+def _rows_one_by_one(rows, max_value):
+    try:
+        return tuple(IncreasingTuple(row, max_len=len(row), max_value=max_value) for row in rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _rows_at_once(rows, max_value):
+    try:
+        out = _increasing_rows(rows, max_value)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(t) is IncreasingTuple for t in out)
+    return out
+
+
+@given(st.lists(st.lists(st.integers(-2, 8), max_size=4), max_size=5))
+def test_increasing_rows_reads_each_row_like_increasing_tuple(rows):
+    assert _rows_at_once(rows, 6) == _rows_one_by_one(rows, 6)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [1, 2, 0]], [[1, 2, 0], [1, 2]], [[1, 2], [3]]])
+def test_increasing_rows_reads_rows_of_mixed_length_one_by_one(rows):
+    # zip(*rows) stops at the shortest row, so a column pass would miss the tail of a longer one
+    assert _rows_at_once(rows, 6) == _rows_one_by_one(rows, 6)
 
 
 def test_otp_shift_pattern():

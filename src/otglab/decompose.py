@@ -194,27 +194,12 @@ def shift_levels(lo_t: Sequence[int], hi_t: Sequence[int], blocks: Sequence[Bloc
     """Block index of each lo_t[i] when the blocks certify a one-step ladder, else None.
 
     Certifying means every value of both tuples lies in exactly one block and
-    each hi_t[i] lies exactly one block above lo_t[i]. Empty blocks (those
-    without their own lo) hold nothing. When the others lie wholly below one
-    another in list order, as every builder makes them, a value's only
-    candidate is the last block starting at or below it, found by bisection;
-    otherwise every block is scanned for it.
+    each hi_t[i] lies exactly one block above lo_t[i].
     """
-    live = [m for m, blk in enumerate(blocks) if blk.contains(blk.lo)]
-    if all(
-        blocks[m].hi <= blocks[n].lo and not blocks[m].contains(blocks[n].lo) for m, n in zip(live, live[1:])
-    ):
-        starts = [blocks[m].lo for m in live]
 
-        def home(x: int) -> int | None:
-            i = bisect_right(starts, x) - 1
-            return live[i] if i >= 0 and blocks[live[i]].contains(x) else None
-
-    else:
-
-        def home(x: int) -> int | None:
-            homes = [m for m, blk in enumerate(blocks) if blk.contains(x)]
-            return homes[0] if len(homes) == 1 else None
+    def home(x: int) -> int | None:
+        homes = [m for m, blk in enumerate(blocks) if blk.contains(x)]
+        return homes[0] if len(homes) == 1 else None
 
     levels = []
     for x, y in zip(lo_t, hi_t):

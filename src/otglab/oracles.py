@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import TYPE_CHECKING, Sequence
 
 from .decompose import ConvexClass, exhaustive_k_orderly, generator_pairs, sign_partition
@@ -77,6 +77,11 @@ def closure_oracle(a: Sequence[int], b: Sequence[int]) -> list[ConvexClass]:
         lo, hi = min(p), max(p)
         out.append(ConvexClass(lo, hi, signs.sign_of(lo)))
     return out
+
+
+def subgraph_oracle(h: FiniteGraph, g: FiniteGraph) -> bool:
+    """find_subgraph_embedding's question by trying every injective map of h's vertices into g's."""
+    return any(all(g.has_edge(f[i], f[j]) for i, j in h.edges) for f in permutations(range(g.n), h.n))
 
 
 def exhaustive_min_k(a: Sequence[int], b: Sequence[int], kmax: int) -> int | None:

@@ -13,7 +13,7 @@ import json
 from otglab.coloring import chromatic_number
 from otglab.decompose import PLUS, analyze_class, convex_closure, decomposition_report, orderly_cover
 from otglab.embedding import cover_embedding, lemma_embedding
-from otglab.graphs import FiniteGraph, order_type_graph, shift_graph
+from otglab.graphs import FiniteGraph, find_subgraph_embedding, order_type_graph, shift_graph
 from otglab.rng import SplitMix64, case_seed, random_pair
 from otglab.seqs import otp
 from otglab.suite import embedding_sweep, run_suite
@@ -34,6 +34,7 @@ GOLDEN = {
     "embedding corpus": "202a75284f35ed3dcbb671e12ab4d77ce9002e6455e9b00c47eb813e0d1dbcc7",
     "embedding images": "deb9468b029a48dbe8282e88b7442cc032ed55a1400f646d64ee0b640e14424a",
     "solver corpus": "2631b305ba5f8e1e5efc67205e2306bca4745c3b44d181f1f5cbaf85a7aa48cf",
+    "subgraph corpus": "263d1169358605b40cfc75a4d959e12afd6ef021ac7a76872ea850cbc244fc43",
 }
 
 
@@ -153,6 +154,44 @@ def _solver_corpus() -> list:
     return out
 
 
+def _random_graph(rng: SplitMix64, n: int) -> FiniteGraph:
+    density = 1 + rng.below(7)  # each edge with probability density / 8
+    return FiniteGraph(list(range(n)), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.below(8) < density])
+
+
+def _cycle(n: int) -> FiniteGraph:
+    return FiniteGraph(list(range(n)), [(i, (i + 1) % n) for i in range(n)])
+
+
+# Order-type graphs at and just below the smallest theta holding Sh_2(5) or K_4.
+SUBGRAPH_TARGETS = (
+    ((0, 1, 3), (1, 2, 4), 7),
+    ((0, 1, 3), (1, 2, 4), 8),
+    ((1, 4, 5, 6), (0, 2, 4, 6), 8),
+    ((0, 1, 4), (2, 3, 6), 8),
+    ((0, 1, 4), (2, 3, 6), 9),
+)
+
+
+def _subgraph_corpus() -> list:
+    """find_subgraph_embedding of shift graphs and cycles in shift and pattern graphs, and of seeded random pairs."""
+    patterns = [shift_graph(1, 3), shift_graph(1, 4), _cycle(5), _cycle(7)]
+    patterns += [shift_graph(2, 4), shift_graph(2, 5), shift_graph(2, 6), shift_graph(3, 5)]
+    targets = [shift_graph(2, n) for n in range(4, 8)] + [shift_graph(3, n) for n in range(5, 8)]
+    targets += [order_type_graph(otp(a, b), theta) for a, b, theta in SUBGRAPH_TARGETS]
+    pairs = [(h, g) for h in patterns for g in targets]
+    rng = SplitMix64(2029)
+    for _ in range(600):
+        h = _random_graph(rng, 1 + rng.below(6))
+        pairs.append((h, _random_graph(rng, 1 + rng.below(16))))
+    out = []
+    for h, g in pairs:
+        for budget in (None, 50, 1, 0):
+            r = find_subgraph_embedding(h, g, budget)
+            out.append([r.status, r.mapping, r.nodes])
+    return out
+
+
 def test_golden_digests():
     embeddings = list(embedding_corpus())
     got = {
@@ -162,5 +201,6 @@ def test_golden_digests():
         "embedding corpus": _digest(embeddings),
         "embedding images": _digest([_images(doc) for doc in embeddings]),
         "solver corpus": _digest(_solver_corpus()),
+        "subgraph corpus": _digest(_subgraph_corpus()),
     }
     assert got == GOLDEN

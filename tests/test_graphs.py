@@ -22,7 +22,8 @@ from otglab import (
     verify_homomorphism,
     verify_strong_homomorphism,
 )
-from otglab.oracles import order_type_graph_oracle
+from otglab.oracles import order_type_graph_oracle, subgraph_oracle
+from otglab.rng import SplitMix64
 
 
 def test_shift_graph_counts():
@@ -277,6 +278,53 @@ def test_find_subgraph_budget_inconclusive():
     res = find_subgraph_embedding(k3, g, budget=1)
     assert res.status == "inconclusive"
     assert res.mapping is None
+
+
+def _random_graph(rng: SplitMix64, n: int) -> FiniteGraph:
+    density = 1 + rng.below(7)  # each edge with probability density / 8
+    return FiniteGraph(list(range(n)), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.below(8) < density])
+
+
+def test_find_subgraph_agrees_with_the_oracle():
+    rng = SplitMix64(2030)
+    statuses = set()
+    for _ in range(300):
+        h, g = _random_graph(rng, 1 + rng.below(6)), _random_graph(rng, 1 + rng.below(7))
+        res = find_subgraph_embedding(h, g)
+        statuses.add(res.status)
+        assert (res.status == "found") == subgraph_oracle(h, g), (h.edges, g.edges)
+        if res.status == "found":
+            assert len(set(res.mapping)) == h.n
+            assert all(g.has_edge(res.mapping[i], res.mapping[j]) for i, j in h.edges)
+    assert statuses == {"found", "absent"}
+
+
+# Smallest theta with Sh_k(n) inside order_type_graph(otp(a, b), theta), as
+# (a, b, k, n, theta): found at theta, absent at theta - 1. Depth-1 pairs
+# embed Sh_1(n) = K_n.
+MIN_THETA = (
+    ((1, 4, 5, 6), (0, 2, 4, 6), 2, 4, 7),
+    ((1, 4, 5, 6), (0, 2, 4, 6), 2, 5, 9),
+    ((0, 1, 3), (1, 2, 4), 2, 4, 6),
+    ((0, 1, 3), (1, 2, 4), 2, 5, 8),
+    ((0, 1, 4), (2, 3, 6), 1, 3, 9),
+    ((0, 1, 4), (2, 3, 6), 1, 4, 12),
+    ((0, 2, 3, 5), (1, 2, 4, 6), 1, 3, 10),
+)
+
+
+@pytest.mark.parametrize("a, b, k, n, theta", MIN_THETA)
+def test_find_subgraph_minimum_theta(a, b, k, n, theta):
+    h = shift_graph(k, n)
+    found = find_subgraph_embedding(h, order_type_graph(otp(a, b), theta))
+    assert found.status == "found"
+    assert verify_homomorphism(found.mapping, h, order_type_graph(otp(a, b), theta))
+    assert find_subgraph_embedding(h, order_type_graph(otp(a, b), theta - 1)).status == "absent"
+
+
+def test_find_subgraph_k4_absent_from_a_depth_1_pattern_graph():
+    res = find_subgraph_embedding(shift_graph(1, 4), order_type_graph(otp((0, 2, 3, 5), (1, 2, 4, 6)), 12))
+    assert (res.status, res.nodes) == ("absent", 2126)
 
 
 def test_is_connected():

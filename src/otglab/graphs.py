@@ -294,50 +294,41 @@ class SubgraphSearch:
     nodes: int
 
 
-class _Budget(Exception):
-    pass
-
-
 def find_subgraph_embedding(h: FiniteGraph, g: FiniteGraph, budget: int | None = None) -> SubgraphSearch:
     """Search for an injective map sending every h-edge to a g-edge.
 
-    Backtracking over h-vertices in decreasing-degree order with degree-based
-    candidate pruning; budget caps the number of search nodes.
+    Depth-first over h-vertices by decreasing degree, as one loop over a stack
+    of (image, untried candidates). The candidates are one bitmask, tried lowest
+    first: the unused g-vertices of at least the vertex's degree adjacent to the
+    images of its placed neighbours. nodes counts the root and each placement.
     """
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
-    assignment: list[int | None] = [None] * h.n
-    used = [False] * g.n
+    wide = {d: sum(1 << c for c in range(g.n) if g.degree(c) >= d) for d in set(map(h.degree, order))}
+    # per depth: the g-vertices of at least its h-vertex's degree, and the depths of its placed neighbours
+    levels = [(wide[h.degree(v)], [pos[u] for u in h.neighbors(v) if pos[u] < d]) for d, v in enumerate(order)]
+    nbr_mask = [sum(1 << w for w in g.neighbors(c)) for c in range(g.n)]
+    free = (1 << g.n) - 1
+    stack: list[tuple[int, int]] = []
     nodes = 0
-
-    def rec(depth: int) -> bool:
-        nonlocal nodes
+    while True:
         nodes += 1
         if budget is not None and nodes > budget:
-            raise _Budget
-        if depth == h.n:
-            return True
-        v = order[depth]
-        earlier = [u for u in h.neighbors(v) if pos[u] < depth]
-        for cand in range(g.n):
-            if used[cand] or g.degree(cand) < h.degree(v):
-                continue
-            if all(g.has_edge(assignment[u], cand) for u in earlier):
-                assignment[v] = cand
-                used[cand] = True
-                if rec(depth + 1):
-                    return True
-                used[cand] = False
-                assignment[v] = None
-        return False
-
-    try:
-        found = rec(0)
-    except _Budget:
-        return SubgraphSearch("inconclusive", None, nodes)
-    if found:
-        return SubgraphSearch("found", tuple(assignment), nodes)
-    return SubgraphSearch("absent", None, nodes)
+            return SubgraphSearch("inconclusive", None, nodes)
+        if len(stack) == h.n:
+            return SubgraphSearch("found", tuple(stack[pos[v]][0] for v in range(h.n)), nodes)
+        cands, placed = levels[len(stack)]
+        cands &= free
+        for d in placed:
+            cands &= nbr_mask[stack[d][0]]
+        while not cands:
+            if not stack:
+                return SubgraphSearch("absent", None, nodes)
+            c, cands = stack.pop()
+            free |= 1 << c
+        low = cands & -cands
+        free ^= low
+        stack.append((low.bit_length() - 1, cands ^ low))
 
 
 def is_connected(g: FiniteGraph) -> bool:

@@ -280,6 +280,13 @@ def test_find_subgraph_budget_inconclusive():
     assert res.mapping is None
 
 
+def test_find_subgraph_places_a_long_path():
+    path = FiniteGraph(list(range(1200)), [(i, i + 1) for i in range(1199)])
+    res = find_subgraph_embedding(path, path)
+    assert (res.status, res.nodes) == ("found", 1201)
+    assert verify_homomorphism(res.mapping, path, path) and len(set(res.mapping)) == 1200
+
+
 def _random_graph(rng: SplitMix64, n: int) -> FiniteGraph:
     density = 1 + rng.below(7)  # each edge with probability density / 8
     return FiniteGraph(list(range(n)), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.below(8) < density])

@@ -302,6 +302,10 @@ def find_subgraph_embedding(h: FiniteGraph, g: FiniteGraph, budget: int | None =
     first: the unused g-vertices of at least the vertex's degree adjacent to the
     images of its placed neighbours. nodes counts the root and each placement.
     """
+    if not (isinstance(h, FiniteGraph) and isinstance(g, FiniteGraph)):
+        raise ValueError("subgraph search needs two undirected graphs")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
     wide = {d: sum(1 << c for c in range(g.n) if g.degree(c) >= d) for d in set(map(h.degree, order))}

@@ -280,6 +280,16 @@ def test_find_subgraph_budget_inconclusive():
     assert res.mapping is None
 
 
+def test_find_subgraph_refuses_a_negative_budget_and_digraphs():
+    g = shift_graph(2, 5)
+    with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+        find_subgraph_embedding(g, g, budget=-1)
+    d = lshift_digraph(2, 5)
+    for h, target in ((d, g), (g, d), (d, d)):
+        with pytest.raises(ValueError, match=r"^subgraph search needs two undirected graphs$"):
+            find_subgraph_embedding(h, target)
+
+
 def test_find_subgraph_places_a_long_path():
     path = FiniteGraph(list(range(1200)), [(i, i + 1) for i in range(1199)])
     res = find_subgraph_embedding(path, path)

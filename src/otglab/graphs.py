@@ -14,15 +14,18 @@ def _label_json(label):
     return list(label) if isinstance(label, tuple) else label
 
 
-def _label_from_json(label):
-    return tuple(label) if isinstance(label, list) else label
+def _json_vertices(labels) -> list:
+    """The vertex labels of a graph document, list labels as tuples, provided they are a JSON array."""
+    if not isinstance(labels, (list, tuple)):
+        raise ValueError(f"graph vertices must be a JSON array, got {labels!r}")
+    return [tuple(v) if isinstance(v, list) else v for v in labels]
 
 
 def _json_pairs(pairs: Iterable, what: str) -> list[tuple]:
     """The pairs as tuples, provided every entry is a JSON integer; one type pass covers them all."""
     out = [tuple(p) for p in pairs]
     if not set(map(type, chain.from_iterable(out))) <= {int}:
-        json_ints(chain.from_iterable(out), what)
+        json_ints(tuple(chain.from_iterable(out)), what)
     return out
 
 
@@ -84,8 +87,7 @@ class FiniteGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGraph":
-        vertices = [_label_from_json(v) for v in data["vertices"]]
-        return cls(vertices, _json_pairs(data["edges"], "edge endpoints"))
+        return cls(_json_vertices(data["vertices"]), _json_pairs(data["edges"], "edge endpoints"))
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -142,8 +144,7 @@ class FiniteDigraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteDigraph":
-        vertices = [_label_from_json(v) for v in data["vertices"]]
-        return cls(vertices, _json_pairs(data["arcs"], "arc endpoints"))
+        return cls(_json_vertices(data["vertices"]), _json_pairs(data["arcs"], "arc endpoints"))
 
     def to_dot(self) -> str:
         lines = ["digraph G {"]

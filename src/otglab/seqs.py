@@ -116,13 +116,14 @@ class OrderTypePattern:
         return cls(length, json_ints(data["ra"], "pattern fields"), json_ints(data["rb"], "pattern fields"))
 
 
-def json_ints(values: Iterable, what: str) -> tuple:
-    """The values as a tuple, provided each is a JSON integer (an int, not a bool or float)."""
-    vals = tuple(values)
-    for v in vals:
+def json_ints(values: Sequence, what: str) -> tuple:
+    """The values as a tuple, provided they are a list or tuple of JSON integers (ints, not bools or floats)."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array of integers, got {values!r}")
+    for v in values:
         if type(v) is not int:
             raise ValueError(f"{what} must be JSON integers, got {v!r}")
-    return vals
+    return tuple(values)
 
 
 def json_bool(value, what: str) -> bool:

@@ -91,6 +91,8 @@ def test_chi_input_schema_errors_are_usage_errors(tmp_path):
         {"edges": []},
         [1, 2],
         {"vertices": [0, 1], "edges": 5},
+        {"vertices": "abc", "edges": [[0, 1], [1, 2], [0, 2]]},
+        {"vertices": {"p": 1, "q": 2}, "edges": [[0, 1]]},
     ]
     path = tmp_path / "graph.json"
     for doc in docs:
@@ -319,6 +321,7 @@ def test_verify_schema_errors_are_usage_errors(tmp_path):
         {"cover": {"pieces": [], "k": 1}, "a": [[0]], "b": [1]},
         {"graph": 5, "coloring": {"palette": 1, "colors": [0]}},
         {"graph": graph, "coloring": {"colors": [0] * 6}},
+        {"graph": {"vertices": {"p": 1, "q": 2}, "edges": [[0, 1]]}, "coloring": {"palette": 2, "colors": [0, 1]}},
     ]
     path = tmp_path / "doc.json"
     for doc in docs:

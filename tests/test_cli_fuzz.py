@@ -118,6 +118,20 @@ def test_cli_fuzz_exits_cleanly(capsys, tmp_path):
     assert 2 in codes and {0, 1} & set(codes)
 
 
+# One character or key per vertex, so that iterating the value would give a graph that loads.
+RETYPED_VERTICES = {"string": lambda vs: "v" * len(vs), "object": lambda vs: {str(v): 0 for v in vs}}
+
+
+@pytest.mark.parametrize("retype", list(RETYPED_VERTICES.values()), ids=list(RETYPED_VERTICES))
+def test_graph_vertices_of_another_json_type_are_usage_errors(capsys, tmp_path, retype):
+    coloring = valid_documents()[2]
+    graph = {**coloring["graph"], "vertices": retype(coloring["graph"]["vertices"])}
+    path = tmp_path / "doc.json"
+    for argv, doc in (["chi", "--input", path], graph), (["verify", path], {**coloring, "graph": graph}):
+        path.write_text(json.dumps(doc))
+        assert assert_clean_exit(capsys, argv) == 2, argv
+
+
 def test_directory_input_is_usage_error(capsys, tmp_path):
     for argv in (["verify", tmp_path], ["chi", "--input", tmp_path]):
         code, out, err, _ = run_main(capsys, argv)

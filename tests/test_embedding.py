@@ -356,16 +356,20 @@ IMAGE_FAULTS = {
     ),
     "entry a number": (set_entry(lambda e: 7), TypeError, lambda vals: "'int' object is not subscriptable"),
     "no values": (set_entry(lambda e: {"value": e["values"]}), KeyError, lambda vals: "'values'"),
-    "values a number": (set_entry(lambda e: {"values": 15}), TypeError, lambda vals: "'int' object is not iterable"),
+    "values a number": (
+        set_entry(lambda e: {"values": 15}),
+        ValueError,
+        lambda vals: "image values must be a JSON array of integers, got 15",
+    ),
     "values a string": (
         set_entry(lambda e: {"values": "15"}),
         ValueError,
-        lambda vals: "image values must be JSON integers, got '1'",
+        lambda vals: "image values must be a JSON array of integers, got '15'",
     ),
     "values an object": (
         set_entry(lambda e: {"values": {"15": 15}}),
         ValueError,
-        lambda vals: "image values must be JSON integers, got '15'",
+        lambda vals: "image values must be a JSON array of integers, got {'15': 15}",
     ),
 }
 

@@ -370,6 +370,14 @@ def test_graph_json_round_trip():
     assert graph_from_json(doc2) == d
 
 
+@pytest.mark.parametrize("vertices", ["abc", {"p": 1, "q": 2}, 5, None])
+def test_graph_from_json_takes_only_an_array_of_vertices(vertices):
+    for doc in ({"vertices": vertices, "edges": []}, {"vertices": vertices, "arcs": []}):
+        with pytest.raises(ValueError) as info:
+            graph_from_json(doc)
+        assert str(info.value) == f"graph vertices must be a JSON array, got {vertices!r}"
+
+
 def test_dot_output_mentions_all_vertices():
     g = shift_graph(2, 3)
     dot = g.to_dot()

@@ -125,6 +125,11 @@ SOLVE_PATTERNS = (
 SOLVER_BUDGETS = (20000, 5000, 300, 257, 256, 255, 100, 1, 0)
 
 
+def _random_graph(rng: SplitMix64, n: int) -> FiniteGraph:
+    density = 1 + rng.below(7)  # each edge with probability density / 8
+    return FiniteGraph(list(range(n)), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.below(8) < density])
+
+
 def _mycielski(g: FiniteGraph) -> FiniteGraph:
     n = g.n
     edges = list(g.edges) + [(i, n + j) for i, j in g.edges] + [(j, n + i) for i, j in g.edges]
@@ -139,9 +144,7 @@ def _solver_corpus() -> list:
     graphs += [order_type_graph(otp(a, b), theta) for a, b, theta in SOLVE_PATTERNS]
     rng = SplitMix64(2028)
     for _ in range(300):
-        n, density = 3 + rng.below(38), 1 + rng.below(7)  # each edge with probability density / 8
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.below(8) < density]
-        graphs.append(FiniteGraph(list(range(n)), edges))
+        graphs.append(_random_graph(rng, 3 + rng.below(38)))
     m = FiniteGraph([0, 1], [(0, 1)])
     for _ in range(4):  # 5, 11, 23 and 47 vertices
         m = _mycielski(m)
@@ -152,11 +155,6 @@ def _solver_corpus() -> list:
             r = chromatic_number(g, budget)
             out.append([r.chi, r.lower, r.upper, list(r.witness.colors), r.witness.palette, r.nodes])
     return out
-
-
-def _random_graph(rng: SplitMix64, n: int) -> FiniteGraph:
-    density = 1 + rng.below(7)  # each edge with probability density / 8
-    return FiniteGraph(list(range(n)), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.below(8) < density])
 
 
 def _cycle(n: int) -> FiniteGraph:

@@ -332,10 +332,9 @@ MIN_THETA = (
 
 @pytest.mark.parametrize("a, b, k, n, theta", MIN_THETA)
 def test_find_subgraph_minimum_theta(a, b, k, n, theta):
-    h = shift_graph(k, n)
-    found = find_subgraph_embedding(h, order_type_graph(otp(a, b), theta))
-    assert found.status == "found"
-    assert verify_homomorphism(found.mapping, h, order_type_graph(otp(a, b), theta))
+    h, g = shift_graph(k, n), order_type_graph(otp(a, b), theta)
+    found = find_subgraph_embedding(h, g)
+    assert found.status == "found" and verify_homomorphism(found.mapping, h, g)
     assert find_subgraph_embedding(h, order_type_graph(otp(a, b), theta - 1)).status == "absent"
 
 

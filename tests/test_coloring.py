@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from typing import Generator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from otglab import (
     verify_coloring,
     verify_strong_homomorphism,
 )
-from otglab.coloring import _clique_along, _dsatur_search, _tabucol
+from otglab.coloring import _PAUSED, _clique_along, _dsatur_search, _tabucol
 from otglab.oracles import brute_chromatic, has_k_coloring
 
 
@@ -227,6 +229,98 @@ def test_paused_search_resumes_without_searching_twice():
     assert res.chi == 5 and res.nodes == pure
     assert chromatic_number(g, budget=pure).exact
     assert not chromatic_number(g, budget=pure - 1).exact
+
+
+def reference_dsatur(
+    nbrs: list[list[int]], k: int, nodes: int = 0, limit: int | None = None
+) -> Generator[tuple, int | None, None]:
+    """The per-neighbour search as it stood before the bit-parallel one, kept as the reference."""
+    n = len(nbrs)
+    colors = [-1] * n
+    seen = [0] * n  # colors on the colored neighbors, as a bitmask
+    sat = [0] * n  # number of bits in seen
+    level = [0] * (k + 1)  # level[s]: uncolored ranks of saturation s
+    level[0] = (1 << n) - 1  # the lowest set bit picks rank 0 at the root
+    stack: list[tuple[int, int, int, list[int]]] = []
+    used = 0
+    while True:
+        nodes += 1
+        if limit is not None and nodes > limit:
+            limit = yield _PAUSED, nodes
+        if len(stack) == n:
+            yield colors, nodes
+            return
+        s = used
+        while not level[s]:
+            s -= 1
+        low = level[s] & -level[s]
+        level[s] ^= low
+        v, c = low.bit_length() - 1, 0
+        while True:
+            top = min(used + 1, k)
+            forbidden = seen[v]
+            while c < top and forbidden >> c & 1:
+                c += 1
+            if c < top:
+                colors[v] = c
+                bit = 1 << c
+                touched = []
+                for w in nbrs[v]:
+                    if colors[w] < 0 and not seen[w] & bit:
+                        seen[w] |= bit
+                        s = sat[w]
+                        sat[w] = s + 1
+                        level[s] ^= 1 << w
+                        level[s + 1] |= 1 << w
+                        touched.append(w)
+                stack.append((v, c, used, touched))
+                if c == used:
+                    used += 1
+                break
+            level[sat[v]] |= 1 << v
+            if not stack:
+                yield None, nodes
+                return
+            v, c, used, touched = stack.pop()
+            colors[v] = -1
+            bit = 1 << c
+            for w in touched:
+                seen[w] ^= bit
+                s = sat[w]
+                sat[w] = s - 1
+                level[s] ^= 1 << w
+                level[s - 1] |= 1 << w
+            c += 1
+
+
+def drive(search, rnd):
+    """Every yield of a search, re-sending a random limit (or None) at each pause."""
+    yields = [next(search)]
+    while yields[-1][0] is _PAUSED:
+        nodes = yields[-1][1]
+        yields.append(search.send(rnd.choice([None, nodes, nodes + 1, nodes + 5, nodes + 20, nodes + 100])))
+    return yields
+
+
+def test_dsatur_search_matches_the_per_neighbour_reference():
+    import random
+
+    rnd = random.Random(1979)
+    for _ in range(3000):
+        n = rnd.randint(1, 27)
+        p = rnd.random()
+        nbrs = [[] for _ in range(n)]
+        for v in range(n):
+            for w in range(v + 1, n):
+                if rnd.random() < p:
+                    nbrs[v].append(w)
+                    nbrs[w].append(v)
+        k = rnd.randint(1, min(n, 6)) if rnd.random() < 0.5 else rnd.randint(1, n)
+        start = rnd.choice([0, 0, rnd.randrange(50)])
+        limit = rnd.choice([None, 0, 1, 5, 20, 100])
+        seed = rnd.random()
+        expected = drive(reference_dsatur(nbrs, k, start, limit), random.Random(seed))
+        assert drive(_dsatur_search(nbrs, k, start, limit), random.Random(seed)) == expected
 
 
 def test_clique_along_rank_order_matches_greedy_clique():

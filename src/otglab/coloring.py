@@ -18,12 +18,16 @@ class Coloring:
     palette: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        colors = tuple(map(int, self.colors))
+        object.__setattr__(self, "colors", colors)
         if self.palette < 0:
             raise ValueError("palette size must be >= 0")
-        for c in self.colors:
-            if c < 0 or c >= self.palette:
-                raise ValueError(f"color {c} outside palette of size {self.palette}")
+        # Both extremes in range put every color in range, so min and max
+        # accept; the loop runs only to name the first fault.
+        if colors and (min(colors) < 0 or max(colors) >= self.palette):
+            for c in colors:
+                if c < 0 or c >= self.palette:
+                    raise ValueError(f"color {c} outside palette of size {self.palette}")
 
     def to_json(self) -> dict:
         return {"palette": self.palette, "colors": list(self.colors)}
@@ -68,8 +72,7 @@ def _clique_along(order: Iterable[int], adj: Callable[[int], set[int]]) -> list[
     """Scan order, keeping each vertex adjacent to every one kept before; adj(v) is v's neighbor set."""
     clique: list[int] = []
     for v in order:
-        near = adj(v)
-        if all(u in near for u in clique):
+        if adj(v).issuperset(clique):
             clique.append(v)
     return clique
 
@@ -125,75 +128,77 @@ _PAUSED = object()
 
 
 def _dsatur_search(
-    nbrs: list[list[int]], k: int, nodes: int = 0, limit: int | None = None
+    masks: list[int], k: int, nodes: int = 0, limit: int | None = None
 ) -> Generator[tuple, int | None, None]:
     """Depth-first search for a proper coloring with at most k colors, as a generator.
 
-    Vertices are numbered by rank (decreasing degree, then index), so the
-    branching vertex, of maximal saturation with ties to the lowest rank, is
-    the lowest set bit of the highest non-empty saturation level. Colors are
-    tried in ascending order, at most one of them fresh. nodes is the running
-    count of decision nodes: one at the root and one per color placed.
-    Whenever the count passes limit, the search yields (_PAUSED, nodes) and
-    resumes under the limit sent back (None: no limit). At its end it yields
-    the colors by rank, or None when no k-coloring exists, with the count.
-    With k = n the first leaf is the DSatur greedy coloring.
+    Vertices are numbered by rank (decreasing degree, then index) and masks[r]
+    is the neighbor mask of rank r. Sets of ranks are int bitmasks, as the
+    bitboards of San Segundo et al. (2011): forbidden[c] holds the uncolored
+    ranks with a neighbor of color c, and saturation is bit-sliced, planes[p]
+    holding bit p of every uncolored rank's count. The branching vertex, of
+    maximal saturation with ties to the lowest rank, is the lowest set bit
+    left by a top-down AND over the planes. Placing color c on v adds
+    touched = masks[v] & uncolored & ~forbidden[c] into forbidden[c] and, by
+    carries, into the planes; the stack keeps touched and the planes before,
+    for the backtrack. Colors are tried in ascending order, at most one of
+    them fresh. nodes is the running count of decision nodes: one at the root
+    and one per color placed. Whenever the count passes limit, the search
+    yields (_PAUSED, nodes) and resumes under the limit sent back (None: no
+    limit). At its end it yields the colors by rank, or None when no
+    k-coloring exists, with the count. With k = n the first leaf is the
+    DSatur greedy coloring.
     """
-    n = len(nbrs)
-    colors = [-1] * n
-    seen = [0] * n  # colors on the colored neighbors, as a bitmask
-    sat = [0] * n  # number of bits in seen
-    level = [0] * (k + 1)  # level[s]: uncolored ranks of saturation s
-    level[0] = (1 << n) - 1  # the lowest set bit picks rank 0 at the root
-    stack: list[tuple[int, int, int, list[int]]] = []
+    n = len(masks)
+    forbidden = [0] * k
+    planes: list[int] = []
+    uncolored = (1 << n) - 1
+    stack: list[tuple[int, int, int, int, list[int]]] = []
     used = 0
     while True:
         nodes += 1
         if limit is not None and nodes > limit:
             limit = yield _PAUSED, nodes
-        if len(stack) == n:
+        if not uncolored:
+            colors = [0] * n
+            for v, c, _, _, _ in stack:
+                colors[v] = c
             yield colors, nodes
             return
-        s = used
-        while not level[s]:
-            s -= 1
-        low = level[s] & -level[s]
-        level[s] ^= low
+        pick = uncolored
+        for plane in reversed(planes):
+            if pick & plane:
+                pick &= plane
+        low = pick & -pick
+        uncolored ^= low
         v, c = low.bit_length() - 1, 0
         while True:
-            top = min(used + 1, k)
-            forbidden = seen[v]
-            while c < top and forbidden >> c & 1:
+            top = used + 1 if used < k else k
+            while c < top and forbidden[c] & low:
                 c += 1
             if c < top:
-                colors[v] = c
-                bit = 1 << c
-                touched = []
-                for w in nbrs[v]:
-                    if colors[w] < 0 and not seen[w] & bit:
-                        seen[w] |= bit
-                        s = sat[w]
-                        sat[w] = s + 1
-                        level[s] ^= 1 << w
-                        level[s + 1] |= 1 << w
-                        touched.append(w)
-                stack.append((v, c, used, touched))
+                touched = masks[v] & uncolored & ~forbidden[c]
+                forbidden[c] |= touched
+                stack.append((v, c, used, touched, planes))
+                if touched:
+                    carry, planes = touched, planes[:]
+                    for p, plane in enumerate(planes):
+                        planes[p] = plane ^ carry
+                        carry &= plane
+                        if not carry:
+                            break
+                    else:
+                        planes.append(carry)
                 if c == used:
                     used += 1
                 break
-            level[sat[v]] |= 1 << v
+            uncolored |= low
             if not stack:
                 yield None, nodes
                 return
-            v, c, used, touched = stack.pop()
-            colors[v] = -1
-            bit = 1 << c
-            for w in touched:
-                seen[w] ^= bit
-                s = sat[w]
-                sat[w] = s - 1
-                level[s] ^= 1 << w
-                level[s - 1] |= 1 << w
+            v, c, used, touched, planes = stack.pop()
+            forbidden[c] ^= touched
+            low = 1 << v
             c += 1
 
 
@@ -289,13 +294,13 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
         raise ValueError("chromatic number undefined for the empty graph")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    rank = [0] * n
-    for r, v in enumerate(order):
-        rank[v] = r
-    nbrs = [[rank[w] for w in g.neighbors(v)] for v in order]
+    degrees = list(map(g.degree, range(n)))
+    order = sorted(range(n), key=degrees.__getitem__, reverse=True)  # stable: ties keep index order
+    rank = sorted(range(n), key=order.__getitem__)
+    nbrs = [list(map(rank.__getitem__, g.neighbors(v))) for v in order]
+    masks = [sum(map((1).__lshift__, row)) for row in nbrs]
 
-    best, _ = next(_dsatur_search(nbrs, n))
+    best, _ = next(_dsatur_search(masks, n))
     ub = max(best) + 1
     lb = len(_clique_along(order, g.neighbors))
     if lb < 3 and _odd_cycle(nbrs):
@@ -304,7 +309,7 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
     while lb < ub:
         k = ub - 1
         limit = nodes + _PROBE_NODES if budget is None else min(nodes + _PROBE_NODES, budget)
-        search = _dsatur_search(nbrs, k, nodes, limit)
+        search = _dsatur_search(masks, k, nodes, limit)
         found, nodes = next(search)
         if found is _PAUSED and (budget is None or nodes <= budget):
             found = _tabucol(nbrs, best, k, _TABU_MOVES)
@@ -320,7 +325,7 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
 
 
 def _witness(by_rank: list[int], rank: list[int], palette: int) -> Coloring:
-    return Coloring(tuple(by_rank[r] for r in rank), palette)
+    return Coloring(tuple(map(by_rank.__getitem__, rank)), palette)
 
 
 def sum_coloring(g: FiniteGraph, pieces: Sequence[tuple[Sequence[int], Coloring]]) -> Coloring:

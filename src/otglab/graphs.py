@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -21,12 +22,21 @@ def _json_vertices(labels) -> list:
     return [tuple(v) if isinstance(v, list) else v for v in labels]
 
 
-def _json_pairs(pairs: Iterable, what: str) -> list[tuple]:
-    """The pairs as tuples, provided every entry is a JSON integer; one type pass covers them all."""
-    out = [tuple(p) for p in pairs]
-    if not set(map(type, chain.from_iterable(out))) <= {int}:
-        json_ints(tuple(chain.from_iterable(out)), what)
-    return out
+def _json_pairs(pairs, what: str) -> list:
+    """The pairs of a graph document, provided they are a JSON array of two-entry arrays of JSON integers.
+
+    One C-level pass each checks the entries' types, their lengths and the
+    endpoints' types; a loop runs only to name the first bad entry.
+    """
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"graph {what}s must be a JSON array, got {pairs!r}")
+    if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
+        for p in pairs:
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise ValueError(f"each {what} must be a JSON array of two endpoints, got {p!r}")
+    if not set(map(type, chain.from_iterable(pairs))) <= {int}:
+        json_ints(tuple(chain.from_iterable(pairs)), f"{what} endpoints")
+    return pairs
 
 
 def _label_dot(label) -> str:
@@ -36,7 +46,11 @@ def _label_dot(label) -> str:
 
 
 class FiniteGraph:
-    """Undirected simple graph over an ordered vertex list; edges are index pairs."""
+    """Undirected simple graph over an ordered vertex list; edges are index pairs.
+
+    The edges are checked and sorted on construction; the neighbor sets are
+    built on the first call to neighbors, degree or has_edge.
+    """
 
     def __init__(self, vertices: Sequence, edges: Iterable[tuple[int, int]]):
         self.vertices = list(vertices)
@@ -49,10 +63,14 @@ class FiniteGraph:
                 raise ValueError(f"edge ({i},{j}) out of range")
             norm.add((i, j) if i < j else (j, i))
         self.edges = sorted(norm)
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+
+    @cached_property
+    def _adj(self) -> list[set[int]]:
+        adj: list[set[int]] = [set() for _ in self.vertices]
         for i, j in self.edges:
-            self._adj[i].add(j)
-            self._adj[j].add(i)
+            adj[i].add(j)
+            adj[j].add(i)
+        return adj
 
     @property
     def n(self) -> int:
@@ -87,7 +105,7 @@ class FiniteGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGraph":
-        return cls(_json_vertices(data["vertices"]), _json_pairs(data["edges"], "edge endpoints"))
+        return cls(_json_vertices(data["vertices"]), _json_pairs(data["edges"], "edge"))
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -100,7 +118,11 @@ class FiniteGraph:
 
 
 class FiniteDigraph:
-    """Directed graph over an ordered vertex list; arcs are ordered index pairs, no self-arcs."""
+    """Directed graph over an ordered vertex list; arcs are ordered index pairs, no self-arcs.
+
+    The arcs are checked and sorted on construction; the successor sets are
+    built on the first call to has_arc.
+    """
 
     def __init__(self, vertices: Sequence, arcs: Iterable[tuple[int, int]]):
         self.vertices = list(vertices)
@@ -113,9 +135,13 @@ class FiniteDigraph:
                 raise ValueError(f"arc ({i},{j}) out of range")
             norm.add((i, j))
         self.arcs = sorted(norm)
-        self._succ: list[set[int]] = [set() for _ in range(n)]
+
+    @cached_property
+    def _succ(self) -> list[set[int]]:
+        succ: list[set[int]] = [set() for _ in self.vertices]
         for i, j in self.arcs:
-            self._succ[i].add(j)
+            succ[i].add(j)
+        return succ
 
     @property
     def n(self) -> int:
@@ -144,7 +170,7 @@ class FiniteDigraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteDigraph":
-        return cls(_json_vertices(data["vertices"]), _json_pairs(data["arcs"], "arc endpoints"))
+        return cls(_json_vertices(data["vertices"]), _json_pairs(data["arcs"], "arc"))
 
     def to_dot(self) -> str:
         lines = ["digraph G {"]

@@ -132,6 +132,26 @@ def test_graph_vertices_of_another_json_type_are_usage_errors(capsys, tmp_path, 
         assert assert_clean_exit(capsys, argv) == 2, argv
 
 
+# A value of each other JSON type, put where the edge list or one of its pairs belongs.
+RETYPED_PAIRS = {"string": "ab", "object": {"0": 1}, "number": 5}
+
+
+@pytest.mark.parametrize("value", list(RETYPED_PAIRS.values()), ids=list(RETYPED_PAIRS))
+@pytest.mark.parametrize("where", ["list", "pair"])
+@pytest.mark.parametrize("key", ["edges", "arcs"])
+def test_graph_pairs_of_another_json_type_are_usage_errors(capsys, tmp_path, key, where, value):
+    coloring = valid_documents()[2]
+    graph = dict(coloring["graph"])
+    pairs = graph.pop("edges")
+    graph[key] = value if where == "list" else [pairs[0], value, *pairs[1:]]
+    path = tmp_path / "doc.json"
+    for argv, doc in (["chi", "--input", path], graph), (["verify", path], {**coloring, "graph": graph}):
+        path.write_text(json.dumps(doc))
+        code, out, err, _ = run_main(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err) == 1 and err[0].endswith(f", got {value!r}"), (argv, err)
+
+
 def test_directory_input_is_usage_error(capsys, tmp_path):
     for argv in (["verify", tmp_path], ["chi", "--input", tmp_path]):
         code, out, err, _ = run_main(capsys, argv)

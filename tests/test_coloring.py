@@ -174,6 +174,10 @@ def by_rank(g):
     return order, [[rank[w] for w in g.neighbors(v)] for v in order]
 
 
+def masks_of(nbrs):
+    return [sum(1 << w for w in row) for row in nbrs]
+
+
 def test_tabucol_returns_only_proper_colorings():
     import random
 
@@ -223,7 +227,7 @@ def test_paused_search_resumes_without_searching_twice():
     # run can find 4 colors, so the paused search must go on, not restart
     g = mycielski(mycielski(mycielski(FiniteGraph([0, 1], [(0, 1)]))))
     _, nbrs = by_rank(g)
-    found, pure = next(_dsatur_search(nbrs, 4))
+    found, pure = next(_dsatur_search(masks_of(nbrs), 4))
     assert found is None and pure > 256
     res = chromatic_number(g)
     assert res.chi == 5 and res.nodes == pure
@@ -320,7 +324,7 @@ def test_dsatur_search_matches_the_per_neighbour_reference():
         limit = rnd.choice([None, 0, 1, 5, 20, 100])
         seed = rnd.random()
         expected = drive(reference_dsatur(nbrs, k, start, limit), random.Random(seed))
-        assert drive(_dsatur_search(nbrs, k, start, limit), random.Random(seed)) == expected
+        assert drive(_dsatur_search(masks_of(nbrs), k, start, limit), random.Random(seed)) == expected
 
 
 def test_clique_along_rank_order_matches_greedy_clique():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from otglab import (
     FiniteDigraph,
     FiniteGraph,
+    chromatic_number,
     find_subgraph_embedding,
     graph_from_json,
     is_connected,
@@ -19,6 +20,7 @@ from otglab import (
     otp,
     rshift_digraph,
     shift_graph,
+    verify_coloring,
     verify_homomorphism,
     verify_strong_homomorphism,
 )
@@ -375,6 +377,79 @@ def test_graph_from_json_takes_only_an_array_of_vertices(vertices):
         with pytest.raises(ValueError) as info:
             graph_from_json(doc)
         assert str(info.value) == f"graph vertices must be a JSON array, got {vertices!r}"
+
+
+# Each retyped value is reported as itself, not by its first character, key or digit.
+RETYPED_PAIRS = ["ab", {"0": 1}, 5, None]
+
+
+@pytest.mark.parametrize("pairs", RETYPED_PAIRS)
+def test_graph_from_json_takes_only_an_array_of_pairs(pairs):
+    for key, what in ("edges", "edge"), ("arcs", "arc"):
+        with pytest.raises(ValueError) as info:
+            graph_from_json({"vertices": [0, 1, 2], key: pairs})
+        assert str(info.value) == f"graph {what}s must be a JSON array, got {pairs!r}"
+
+
+@pytest.mark.parametrize("pair", RETYPED_PAIRS + [[0], [0, 1, 2], []])
+def test_graph_from_json_takes_only_pairs_of_two_endpoints(pair):
+    for key, what in ("edges", "edge"), ("arcs", "arc"):
+        with pytest.raises(ValueError) as info:
+            graph_from_json({"vertices": [0, 1, 2], key: [[0, 1], pair]})
+        assert str(info.value) == f"each {what} must be a JSON array of two endpoints, got {pair!r}"
+
+
+def test_graph_from_json_keeps_the_pairs_it_is_given():
+    doc = {"vertices": [0, 1, 2], "edges": [[2, 1], [0, 1], [1, 2]]}
+    assert graph_from_json(doc).edges == [(0, 1), (1, 2)]
+    assert graph_from_json({"vertices": [0, 1, 2], "arcs": [[2, 1], [0, 1]]}).arcs == [(0, 1), (2, 1)]
+
+
+def test_bad_edges_raise_in_the_constructor():
+    for edges, message in ([(0, 2)], r"edge \(0,2\) out of range"), ([(1, 1)], "self-loop at vertex 1"):
+        with pytest.raises(ValueError, match=message):
+            FiniteGraph([0, 1], edges)
+        with pytest.raises(ValueError, match=message.replace("edge", "arc").replace("self-loop", "self-arc")):
+            FiniteDigraph([0, 1], edges)
+
+
+def test_adjacency_is_built_on_first_use_only():
+    g = shift_graph(2, 6)
+    witness = chromatic_number(g).witness
+    back = graph_from_json(json.loads(json.dumps(g.to_json())))
+    assert back == g and verify_coloring(back, witness)
+    assert "_adj" not in back.__dict__
+    d = lshift_digraph(2, 5)
+    back = graph_from_json(json.loads(json.dumps(d.to_json())))
+    assert back == d and "_succ" not in back.__dict__
+    assert back.has_arc(*d.arcs[0]) and "_succ" in back.__dict__
+    back = graph_from_json(json.loads(json.dumps(g.to_json())))
+    assert back.degree(0) == g.degree(0) and "_adj" in back.__dict__
+
+
+def test_lazy_adjacency_matches_eager_sets():
+    import random
+
+    rnd = random.Random(41)
+    for _ in range(200):
+        n = rnd.randint(1, 20)
+        p = rnd.random()
+        edges = [(i, j) if rnd.random() < 0.5 else (j, i) for i, j in combinations(range(n), 2) if rnd.random() < p]
+        adj = [set() for _ in range(n)]
+        succ = [set() for _ in range(n)]
+        for i, j in edges:
+            adj[i].add(j)
+            adj[j].add(i)
+            succ[i].add(j)
+        g, d = FiniteGraph(range(n), edges), FiniteDigraph(range(n), edges)
+        probes = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(10)]
+        if rnd.random() < 0.5:  # first use through has_edge rather than neighbors
+            assert [g.has_edge(i, j) for i, j in probes] == [j in adj[i] for i, j in probes]
+        assert [g.neighbors(v) for v in range(n)] == adj
+        assert [g.degree(v) for v in range(n)] == list(map(len, adj))
+        assert [g.has_edge(i, j) for i, j in probes] == [j in adj[i] for i, j in probes]
+        assert [d.has_arc(i, j) for i, j in probes] == [j in succ[i] for i, j in probes]
+        assert all(d.has_arc(i, j) for i, j in edges)
 
 
 def test_dot_output_mentions_all_vertices():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 from typing import Callable, Generator, Iterable, Sequence
 
@@ -40,9 +42,10 @@ class Coloring:
 
 def verify_coloring(g: FiniteGraph, c: Coloring) -> bool:
     """True iff c is total on g and no edge is monochromatic."""
-    if len(c.colors) != g.n:
+    colors = c.colors
+    if len(colors) != g.n:
         return False
-    return all(c.colors[i] != c.colors[j] for i, j in g.edges)
+    return all(colors[i] != colors[j] for i, j in g.edges)
 
 
 def greedy_coloring(g: FiniteGraph, order: Sequence[int] | None = None) -> Coloring:
@@ -65,7 +68,13 @@ def greedy_coloring(g: FiniteGraph, order: Sequence[int] | None = None) -> Color
 
 def greedy_clique(g: FiniteGraph) -> list[int]:
     """Greedy maximal clique: scan by decreasing degree, keep mutually adjacent picks."""
-    return _clique_along(sorted(range(g.n), key=lambda x: (-g.degree(x), x)), g.neighbors)
+    return _clique_along(_degree_order(g), g.neighbors)
+
+
+def _degree_order(g: FiniteGraph) -> list[int]:
+    """The vertices by decreasing degree; sorting is stable under reverse, so ties keep index order."""
+    degrees = Counter(chain.from_iterable(g.edges))
+    return sorted(range(g.n), key=degrees.__getitem__, reverse=True)
 
 
 def _clique_along(order: Iterable[int], adj: Callable[[int], set[int]]) -> list[int]:
@@ -103,24 +112,27 @@ class ChiResult:
         return doc
 
 
-def _odd_cycle(nbrs: list[list[int]]) -> bool:
-    """True iff breadth-first 2-coloring fails somewhere, i.e. the graph is not bipartite."""
-    side = [-1] * len(nbrs)
-    for root in range(len(nbrs)):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in nbrs[v]:
-                    if side[w] < 0:
-                        side[w] = side[v] ^ 1
-                        nxt.append(w)
-                    elif side[w] == side[v]:
-                        return True
-            frontier = nxt
+def _odd_cycle(masks: list[int]) -> bool:
+    """True iff the graph of the neighbor masks is not bipartite.
+
+    Breadth-first search by whole layers: a layer's neighbors are the OR of
+    its members' masks, and the graph has an odd cycle exactly when some
+    layer has a neighbor inside itself.
+    """
+    unseen = (1 << len(masks)) - 1
+    while unseen:
+        layer = unseen & -unseen
+        unseen ^= layer
+        while layer:
+            reach, rest = 0, layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reach |= masks[low.bit_length() - 1]
+            if reach & layer:
+                return True
+            layer = reach & unseen
+            unseen ^= layer
     return False
 
 
@@ -294,17 +306,25 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
         raise ValueError("chromatic number undefined for the empty graph")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    degrees = list(map(g.degree, range(n)))
-    order = sorted(range(n), key=degrees.__getitem__, reverse=True)  # stable: ties keep index order
+    order = _degree_order(g)
     rank = sorted(range(n), key=order.__getitem__)
-    nbrs = [list(map(rank.__getitem__, g.neighbors(v))) for v in order]
-    masks = [sum(map((1).__lshift__, row)) for row in nbrs]
+    bits = list(map((1).__lshift__, rank))  # bits[v]: the mask of v's rank
+    by_vertex = [0] * n
+    for i, j in g.edges:
+        by_vertex[i] |= bits[j]
+        by_vertex[j] |= bits[i]
+    masks = list(map(by_vertex.__getitem__, order))
 
     best, _ = next(_dsatur_search(masks, n))
     ub = max(best) + 1
-    lb = len(_clique_along(order, g.neighbors))
-    if lb < 3 and _odd_cycle(nbrs):
+    clique = 0  # greedy along the ranks: each one adjacent to all kept before
+    for r, mask in enumerate(masks):
+        if mask & clique == clique:
+            clique |= 1 << r
+    lb = clique.bit_count()
+    if lb < 3 and _odd_cycle(masks):
         lb = 3
+    nbrs = None  # neighbor ranks by rank, for the tabu phase
     nodes = 0
     while lb < ub:
         k = ub - 1
@@ -312,6 +332,11 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
         search = _dsatur_search(masks, k, nodes, limit)
         found, nodes = next(search)
         if found is _PAUSED and (budget is None or nodes <= budget):
+            if nbrs is None:
+                nbrs = [[] for _ in range(n)]
+                for i, j in g.edges:
+                    nbrs[rank[i]].append(rank[j])
+                    nbrs[rank[j]].append(rank[i])
             found = _tabucol(nbrs, best, k, _TABU_MOVES)
             if found is None or not verify_coloring(g, _witness(found, rank, k)):
                 found, nodes = search.send(budget)
@@ -367,16 +392,18 @@ def product_coloring(
     be covered by some piece. Colors are digit tuples packed into a palette of
     size = product of the piece palettes.
     """
+    n = g.n
     norm_pieces = []
     covered: set[tuple[int, int]] = set()
     for edge_set, col in edge_pieces:
-        edges = {(min(i, j), max(i, j)) for i, j in edge_set}
-        if len(col.colors) != g.n:
+        edges = {(i, j) if i < j else (j, i) for i, j in edge_set}
+        colors = col.colors
+        if len(colors) != n:
             raise ValueError("piece coloring must color every vertex")
         for i, j in edges:
-            if i == j or not (0 <= i < g.n and 0 <= j < g.n):
+            if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i},{j}) in piece")
-            if col.colors[i] == col.colors[j]:
+            if colors[i] == colors[j]:
                 raise ValueError("piece coloring not proper for its edge set")
         covered |= edges
         norm_pieces.append(col)
@@ -385,7 +412,7 @@ def product_coloring(
     palettes = [col.palette for col in norm_pieces]
     palette = prod(palettes) if palettes else 1
     colors = []
-    for v in range(g.n):
+    for v in range(n):
         value = 0
         for col in norm_pieces:
             value = value * col.palette + col.colors[v]

@@ -55,14 +55,15 @@ class FiniteGraph:
     def __init__(self, vertices: Sequence, edges: Iterable[tuple[int, int]]):
         self.vertices = list(vertices)
         n = len(self.vertices)
-        norm = set()
+        norm = []
         for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range")
-            norm.add((i, j) if i < j else (j, i))
-        self.edges = sorted(norm)
+            norm.append((i, j) if i < j else (j, i))
+        # sorted before deduplicated: input that is nearly in order sorts in about one pass
+        self.edges = list(dict.fromkeys(sorted(norm)))
 
     @cached_property
     def _adj(self) -> list[set[int]]:
@@ -99,8 +100,8 @@ class FiniteGraph:
 
     def to_json(self) -> dict:
         return {
-            "vertices": [_label_json(v) for v in self.vertices],
-            "edges": [list(e) for e in self.edges],
+            "vertices": list(map(_label_json, self.vertices)),
+            "edges": list(map(list, self.edges)),
         }
 
     @classmethod
@@ -127,14 +128,14 @@ class FiniteDigraph:
     def __init__(self, vertices: Sequence, arcs: Iterable[tuple[int, int]]):
         self.vertices = list(vertices)
         n = len(self.vertices)
-        norm = set()
+        norm = []
         for i, j in arcs:
             if i == j:
                 raise ValueError(f"self-arc at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"arc ({i},{j}) out of range")
-            norm.add((i, j))
-        self.arcs = sorted(norm)
+            norm.append((i, j))
+        self.arcs = list(dict.fromkeys(sorted(norm)))
 
     @cached_property
     def _succ(self) -> list[set[int]]:
@@ -164,8 +165,8 @@ class FiniteDigraph:
 
     def to_json(self) -> dict:
         return {
-            "vertices": [_label_json(v) for v in self.vertices],
-            "arcs": [list(a) for a in self.arcs],
+            "vertices": list(map(_label_json, self.vertices)),
+            "arcs": list(map(list, self.arcs)),
         }
 
     @classmethod
@@ -197,17 +198,17 @@ def _tuple_reader(ranks: Sequence[int]):
 
 
 def _pattern_links(ranks_a: Sequence[int], ranks_b: Sequence[int], theta: int):
-    """Increasing tuples over 0..theta-1 and the index pairs (u, v) realizing a pattern.
+    """Increasing tuples over 0..theta-1 and an iterator over the index pairs (u, v) realizing a pattern.
 
     With m ranks in the pattern, each m-subset s of 0..theta-1 realizes it on
     exactly one ordered pair, u = s read at ranks_a and v = s read at ranks_b,
     and every such pair arises so from the set of its endpoints' values.
     """
     vertices = list(combinations(range(theta), len(ranks_a)))
-    index = {v: i for i, v in enumerate(vertices)}
-    read_a, read_b = _tuple_reader(ranks_a), _tuple_reader(ranks_b)
+    at = dict(zip(vertices, range(len(vertices)))).__getitem__
     m = max(ranks_a[-1], ranks_b[-1]) + 1
-    links = [(index[read_a(s)], index[read_b(s)]) for s in combinations(range(theta), m)]
+    subsets = list(combinations(range(theta), m))
+    links = zip(map(at, map(_tuple_reader(ranks_a), subsets)), map(at, map(_tuple_reader(ranks_b), subsets)))
     return vertices, links
 
 

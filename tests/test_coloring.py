@@ -346,6 +346,22 @@ def test_clique_along_rank_order_matches_greedy_clique():
         assert _clique_along(order, g.neighbors) == greedy_clique(g) == reference
 
 
+def test_lower_bound_is_the_greedy_clique_raised_by_an_odd_cycle():
+    import random
+
+    # at budget 0 a search pauses at once, so lower is the bound before any search
+    rnd = random.Random(37)
+    graphs = [random_graph(rnd, lo=1, hi=9) for _ in range(60)]
+    graphs += [
+        disjoint_union(*(random_graph(rnd, lo=1, hi=5) for _ in range(rnd.randrange(2, 4)))) for _ in range(60)
+    ]
+    graphs += [disjoint_union(*[cycle(6)] * 3, cycle(n)) for n in (3, 4, 5, 7, 8)]
+    for g in graphs:
+        clique = len(greedy_clique(g))
+        odd = not has_k_coloring(g, 2)
+        assert chromatic_number(g, budget=0).lower == (3 if clique < 3 and odd else clique)
+
+
 def test_chromatic_number_rejects_negative_budget():
     with pytest.raises(ValueError):
         chromatic_number(shift_graph(2, 5), budget=-3)

@@ -397,13 +397,13 @@ def product_coloring(
     covered: set[tuple[int, int]] = set()
     for edge_set, col in edge_pieces:
         edges = {(i, j) if i < j else (j, i) for i, j in edge_set}
-        colors = col.colors
-        if len(colors) != n:
+        piece = col.colors
+        if len(piece) != n:
             raise ValueError("piece coloring must color every vertex")
         for i, j in edges:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i},{j}) in piece")
-            if colors[i] == colors[j]:
+            if piece[i] == piece[j]:
                 raise ValueError("piece coloring not proper for its edge set")
         covered |= edges
         norm_pieces.append(col)

@@ -100,7 +100,7 @@ class FiniteGraph:
 
     def to_json(self) -> dict:
         return {
-            "vertices": list(map(_label_json, self.vertices)),
+            "vertices": [_label_json(v) for v in self.vertices],
             "edges": list(map(list, self.edges)),
         }
 
@@ -165,7 +165,7 @@ class FiniteDigraph:
 
     def to_json(self) -> dict:
         return {
-            "vertices": list(map(_label_json, self.vertices)),
+            "vertices": [_label_json(v) for v in self.vertices],
             "arcs": list(map(list, self.arcs)),
         }
 

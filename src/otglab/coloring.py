@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Generator, Iterable, Sequence
 
 from .graphs import FiniteGraph, _as_map, order_type_graph, verify_homomorphism, verify_strong_homomorphism
 from .seqs import OrderTypePattern, json_ints
@@ -68,21 +68,34 @@ def greedy_coloring(g: FiniteGraph, order: Sequence[int] | None = None) -> Color
 
 def greedy_clique(g: FiniteGraph) -> list[int]:
     """Greedy maximal clique: scan by decreasing degree, keep mutually adjacent picks."""
-    return _clique_along(_degree_order(g), g.neighbors)
+    order, _, masks = _rank_masks(g)
+    kept = _clique_mask(masks)
+    return [v for r, v in enumerate(order) if kept >> r & 1]
 
 
-def _degree_order(g: FiniteGraph) -> list[int]:
-    """The vertices by decreasing degree; sorting is stable under reverse, so ties keep index order."""
+def _rank_masks(g: FiniteGraph) -> tuple[list[int], list[int], list[int]]:
+    """The vertices by rank, each vertex's rank and the neighbor mask of each rank, read off the edge list.
+
+    Ranks go by decreasing degree; sorting is stable under reverse, so ties
+    keep index order.
+    """
     degrees = Counter(chain.from_iterable(g.edges))
-    return sorted(range(g.n), key=degrees.__getitem__, reverse=True)
+    order = sorted(range(g.n), key=degrees.__getitem__, reverse=True)
+    rank = sorted(range(g.n), key=order.__getitem__)
+    bits = list(map((1).__lshift__, rank))  # bits[v]: the mask of v's rank
+    by_vertex = [0] * g.n
+    for i, j in g.edges:
+        by_vertex[i] |= bits[j]
+        by_vertex[j] |= bits[i]
+    return order, rank, list(map(by_vertex.__getitem__, order))
 
 
-def _clique_along(order: Iterable[int], adj: Callable[[int], set[int]]) -> list[int]:
-    """Scan order, keeping each vertex adjacent to every one kept before; adj(v) is v's neighbor set."""
-    clique: list[int] = []
-    for v in order:
-        if adj(v).issuperset(clique):
-            clique.append(v)
+def _clique_mask(masks: list[int]) -> int:
+    """The greedy clique along the ranks, as a mask: each rank kept is adjacent to all kept before."""
+    clique = 0
+    for r, mask in enumerate(masks):
+        if mask & clique == clique:
+            clique |= 1 << r
     return clique
 
 
@@ -306,22 +319,11 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
         raise ValueError("chromatic number undefined for the empty graph")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    order = _degree_order(g)
-    rank = sorted(range(n), key=order.__getitem__)
-    bits = list(map((1).__lshift__, rank))  # bits[v]: the mask of v's rank
-    by_vertex = [0] * n
-    for i, j in g.edges:
-        by_vertex[i] |= bits[j]
-        by_vertex[j] |= bits[i]
-    masks = list(map(by_vertex.__getitem__, order))
+    _, rank, masks = _rank_masks(g)
 
     best, _ = next(_dsatur_search(masks, n))
     ub = max(best) + 1
-    clique = 0  # greedy along the ranks: each one adjacent to all kept before
-    for r, mask in enumerate(masks):
-        if mask & clique == clique:
-            clique |= 1 << r
-    lb = clique.bit_count()
+    lb = _clique_mask(masks).bit_count()
     if lb < 3 and _odd_cycle(masks):
         lb = 3
     nbrs = None  # neighbor ranks by rank, for the tabu phase

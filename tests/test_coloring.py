@@ -23,7 +23,7 @@ from otglab import (
     verify_coloring,
     verify_strong_homomorphism,
 )
-from otglab.coloring import _PAUSED, _clique_along, _dsatur_search, _tabucol
+from otglab.coloring import _PAUSED, _clique_mask, _dsatur_search, _tabucol
 from otglab.oracles import brute_chromatic, has_k_coloring
 
 
@@ -342,8 +342,9 @@ def test_clique_along_rank_order_matches_greedy_clique():
         for v in sorted(range(g.n), key=lambda x: (-g.degree(x), x)):
             if all(g.has_edge(v, u) for u in reference):
                 reference.append(v)
-        order, _ = by_rank(g)
-        assert _clique_along(order, g.neighbors) == greedy_clique(g) == reference
+        order, nbrs = by_rank(g)
+        kept = _clique_mask(masks_of(nbrs))
+        assert [v for r, v in enumerate(order) if kept >> r & 1] == greedy_clique(g) == reference
 
 
 def test_lower_bound_is_the_greedy_clique_raised_by_an_odd_cycle():

@@ -415,10 +415,10 @@ def test_bad_edges_raise_in_the_constructor():
 
 def test_adjacency_is_built_on_first_use_only():
     g = shift_graph(2, 6)
-    witness = chromatic_number(g).witness
+    witness = chromatic_number(g).witness  # the solver reads only the edge list
     back = graph_from_json(json.loads(json.dumps(g.to_json())))
     assert back == g and verify_coloring(back, witness)
-    assert "_adj" not in back.__dict__
+    assert "_adj" not in back.__dict__ and "_adj" not in g.__dict__
     d = lshift_digraph(2, 5)
     back = graph_from_json(json.loads(json.dumps(d.to_json())))
     assert back == d and "_succ" not in back.__dict__

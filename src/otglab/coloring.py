@@ -42,10 +42,9 @@ class Coloring:
 
 def verify_coloring(g: FiniteGraph, c: Coloring) -> bool:
     """True iff c is total on g and no edge is monochromatic."""
-    colors = c.colors
-    if len(colors) != g.n:
+    if len(c.colors) != g.n:
         return False
-    return all(colors[i] != colors[j] for i, j in g.edges)
+    return all(c.colors[i] != c.colors[j] for i, j in g.edges)
 
 
 def greedy_coloring(g: FiniteGraph, order: Sequence[int] | None = None) -> Coloring:

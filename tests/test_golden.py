@@ -6,14 +6,26 @@ and says why in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 
+from otglab import cli
 from otglab.coloring import chromatic_number
 from otglab.decompose import PLUS, analyze_class, convex_closure, decomposition_report, orderly_cover
 from otglab.embedding import cover_embedding, lemma_embedding
-from otglab.graphs import FiniteGraph, find_subgraph_embedding, order_type_graph, shift_graph
+from otglab.graphs import (
+    FiniteDigraph,
+    FiniteGraph,
+    find_subgraph_embedding,
+    graph_from_json,
+    lshift_digraph,
+    order_type_graph,
+    rshift_digraph,
+    shift_graph,
+)
 from otglab.rng import SplitMix64, case_seed, random_pair
 from otglab.seqs import otp
 from otglab.suite import embedding_sweep, run_suite
@@ -35,6 +47,7 @@ GOLDEN = {
     "embedding images": "deb9468b029a48dbe8282e88b7442cc032ed55a1400f646d64ee0b640e14424a",
     "solver corpus": "2631b305ba5f8e1e5efc67205e2306bca4745c3b44d181f1f5cbaf85a7aa48cf",
     "subgraph corpus": "263d1169358605b40cfc75a4d959e12afd6ef021ac7a76872ea850cbc244fc43",
+    "graph outputs": "bae09ef5a9b1f54c5f1905a003e5b6b13162e957f1ae21e1c5dd2a84c5f685b4",
 }
 
 
@@ -190,6 +203,67 @@ def _subgraph_corpus() -> list:
     return out
 
 
+def _gen_graphs():
+    """`otg gen` arguments of each graph whose printed forms are pinned, with the graph they print."""
+    for r, n in ((1, 1), (1, 4), (2, 2), (2, 5), (3, 6), (4, 7)):
+        yield ["sh", "--r", r, "--n", n], shift_graph(r, n)
+    for k, n in ((1, 2), (1, 4), (2, 5), (3, 6)):
+        yield ["lsh", "--k", k, "--n", n], lshift_digraph(k, n)
+    for k, n in ((1, 3), (2, 4), (3, 6)):
+        yield ["rsh", "--k", k, "--n", n], rshift_digraph(k, n)
+    for a, b, theta in (((0, 1), (1, 2), 4), ((0, 2), (1, 3), 5), ((0, 1, 3), (1, 2, 4), 6), ((0, 1), (2, 3), 0)):
+        argv = ["otg", "--a", ",".join(map(str, a)), "--b", ",".join(map(str, b)), "--theta", theta]
+        yield argv, order_type_graph(otp(a, b), theta)
+
+
+def _gen_table(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["gen", *map(str, argv), "--format", "table"]) == 0
+    return out.getvalue()
+
+
+def _graph_texts(build, *args) -> list:
+    try:
+        g = build(*args)
+    except ValueError as exc:
+        return [f"{type(exc).__name__}: {exc}"]
+    return [repr(g), g.to_json(), g.to_dot()]
+
+
+def _graph_outputs() -> list:
+    """repr, JSON, DOT and `otg gen --format table` of shift, shift digraph and pattern graphs; constructor texts.
+
+    Hand-made graphs add unsorted, reversed and repeated pairs, integer labels,
+    and the constructor's self-loop, self-arc and out-of-range refusals.
+    """
+    out = [_graph_texts(lambda g: g, g) + [_gen_table(argv)] for argv, g in _gen_graphs()]
+    cases = [
+        (FiniteGraph, [0, 1, 2, 3], [(2, 1), (0, 3), (1, 2), (3, 0), (0, 1)]),
+        (FiniteDigraph, [0, 1, 2, 3], [(2, 1), (0, 3), (1, 2), (3, 0), (2, 1)]),
+        (FiniteGraph, [(0,), (1, 2), 7], [(2, 0)]),
+        (FiniteGraph, [], []),
+        (FiniteDigraph, [], []),
+        (FiniteGraph, [0, 1, 2], [(0, 1), (1, 1)]),
+        (FiniteDigraph, [0, 1, 2], [(0, 1), (2, 2)]),
+        (FiniteGraph, [0, 1, 2], [(0, 3)]),
+        (FiniteGraph, [0, 1, 2], [(-1, 2)]),
+        (FiniteDigraph, [0, 1, 2], [(3, 0)]),
+        (FiniteDigraph, [0, 1, 2], [(1, -2)]),
+    ]
+    out += [_graph_texts(cls, vertices, pairs) for cls, vertices, pairs in cases]
+    docs = [
+        {"vertices": [0, 1], "edges": [[1, 0]]},
+        {"vertices": [0, 1], "arcs": [[1, 0], [0, 1]]},
+        {"vertices": [[0, 1], [0, 2]], "arcs": [[0, 2]]},
+        {"vertices": "ab", "edges": []},
+        {"vertices": [0, 1], "edges": [[0, True]]},
+        {"vertices": [0, 1], "arcs": [[0, 1, 1]]},
+    ]
+    out += [_graph_texts(graph_from_json, doc) for doc in docs]
+    return out
+
+
 def test_golden_digests():
     embeddings = list(embedding_corpus())
     got = {
@@ -200,5 +274,6 @@ def test_golden_digests():
         "embedding images": _digest([_images(doc) for doc in embeddings]),
         "solver corpus": _digest(_solver_corpus()),
         "subgraph corpus": _digest(_subgraph_corpus()),
+        "graph outputs": _digest(_graph_outputs()),
     }
     assert got == GOLDEN

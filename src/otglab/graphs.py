@@ -45,33 +45,37 @@ def _label_dot(label) -> str:
     return str(label)
 
 
-class FiniteGraph:
-    """Undirected simple graph over an ordered vertex list; edges are index pairs.
+class _Graph:
+    """What FiniteGraph and FiniteDigraph share: an ordered vertex list and a checked, sorted list of index pairs.
 
-    The edges are checked and sorted on construction; the neighbor sets are
-    built on the first call to neighbors, degree or has_edge.
+    A subclass names its pairs (_pair: "edge" or "arc"; the JSON key is that
+    word plus "s"), its refused self-pair, its DOT keyword and bond, and
+    whether a pair is ordered. The neighbour index (successors in a digraph)
+    is built on first use.
     """
 
-    def __init__(self, vertices: Sequence, edges: Iterable[tuple[int, int]]):
+    def __init__(self, vertices: Sequence, pairs: Iterable[tuple[int, int]]):
         self.vertices = list(vertices)
         n = len(self.vertices)
         norm = []
-        for i, j in edges:
+        for i, j in pairs:
             if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+                raise ValueError(f"{self._self_pair} at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            norm.append((i, j) if i < j else (j, i))
+                raise ValueError(f"{self._pair} ({i},{j}) out of range")
+            norm.append((i, j) if i < j or self._directed else (j, i))
         # sorted before deduplicated: input that is nearly in order sorts in about one pass
-        self.edges = list(dict.fromkeys(sorted(norm)))
+        self._links = list(dict.fromkeys(sorted(norm)))
 
     @cached_property
-    def _adj(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in self.vertices]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+    def _nbrs(self) -> list[set[int]]:
+        nbrs: list[set[int]] = [set() for _ in self.vertices]
+        for i, j in self._links:
+            nbrs[i].add(j)
+        if not self._directed:
+            for i, j in self._links:
+                nbrs[j].add(i)
+        return nbrs
 
     @property
     def n(self) -> int:
@@ -79,108 +83,77 @@ class FiniteGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def neighbors(self, i: int) -> set[int]:
-        return self._adj[i]
-
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adj[i]
+        return len(self._links)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteGraph):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return list(self.vertices) == list(other.vertices) and self.edges == other.edges
+        return self.vertices == other.vertices and self._links == other._links
 
     def __repr__(self) -> str:
-        return f"FiniteGraph(n={self.n}, m={self.m})"
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
 
     def to_json(self) -> dict:
         return {
             "vertices": [_label_json(v) for v in self.vertices],
-            "edges": list(map(list, self.edges)),
+            self._pair + "s": list(map(list, self._links)),
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "FiniteGraph":
-        return cls(_json_vertices(data["vertices"]), _json_pairs(data["edges"], "edge"))
+    def from_json(cls, data: dict) -> "_Graph":
+        return cls(_json_vertices(data["vertices"]), _json_pairs(data[cls._pair + "s"], cls._pair))
 
     def to_dot(self) -> str:
-        lines = ["graph G {"]
+        lines = [self._dot + " G {"]
         for v in self.vertices:
             lines.append(f'  "{_label_dot(v)}";')
-        for i, j in self.edges:
-            lines.append(f'  "{_label_dot(self.vertices[i])}" -- "{_label_dot(self.vertices[j])}";')
+        for i, j in self._links:
+            lines.append(f'  "{_label_dot(self.vertices[i])}" {self._bond} "{_label_dot(self.vertices[j])}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-class FiniteDigraph:
+class FiniteGraph(_Graph):
+    """Undirected simple graph over an ordered vertex list; edges are index pairs i < j.
+
+    The edges are checked and sorted on construction; the neighbor sets are
+    built on the first call to neighbors, degree or has_edge.
+    """
+
+    _pair, _self_pair, _dot, _bond, _directed = "edge", "self-loop", "graph", "--", False
+    # Bound in this class body, not only inherited: the traced benchmark wraps them through vars(FiniteGraph).
+    to_json = _Graph.to_json
+    from_json = vars(_Graph)["from_json"]
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return self._links
+
+    def neighbors(self, i: int) -> set[int]:
+        return self._nbrs[i]
+
+    def degree(self, i: int) -> int:
+        return len(self._nbrs[i])
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return j in self._nbrs[i]
+
+
+class FiniteDigraph(_Graph):
     """Directed graph over an ordered vertex list; arcs are ordered index pairs, no self-arcs.
 
     The arcs are checked and sorted on construction; the successor sets are
     built on the first call to has_arc.
     """
 
-    def __init__(self, vertices: Sequence, arcs: Iterable[tuple[int, int]]):
-        self.vertices = list(vertices)
-        n = len(self.vertices)
-        norm = []
-        for i, j in arcs:
-            if i == j:
-                raise ValueError(f"self-arc at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"arc ({i},{j}) out of range")
-            norm.append((i, j))
-        self.arcs = list(dict.fromkeys(sorted(norm)))
-
-    @cached_property
-    def _succ(self) -> list[set[int]]:
-        succ: list[set[int]] = [set() for _ in self.vertices]
-        for i, j in self.arcs:
-            succ[i].add(j)
-        return succ
+    _pair, _self_pair, _dot, _bond, _directed = "arc", "self-arc", "digraph", "->", True
 
     @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
+    def arcs(self) -> list[tuple[int, int]]:
+        return self._links
 
     def has_arc(self, i: int, j: int) -> bool:
-        return j in self._succ[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteDigraph):
-            return NotImplemented
-        return list(self.vertices) == list(other.vertices) and self.arcs == other.arcs
-
-    def __repr__(self) -> str:
-        return f"FiniteDigraph(n={self.n}, m={self.m})"
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": [_label_json(v) for v in self.vertices],
-            "arcs": list(map(list, self.arcs)),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FiniteDigraph":
-        return cls(_json_vertices(data["vertices"]), _json_pairs(data["arcs"], "arc"))
-
-    def to_dot(self) -> str:
-        lines = ["digraph G {"]
-        for v in self.vertices:
-            lines.append(f'  "{_label_dot(v)}";')
-        for i, j in self.arcs:
-            lines.append(f'  "{_label_dot(self.vertices[i])}" -> "{_label_dot(self.vertices[j])}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return j in self._nbrs[i]
 
 
 def graph_from_json(data: dict) -> FiniteGraph | FiniteDigraph:
@@ -286,13 +259,11 @@ def verify_homomorphism(f, src, dst) -> bool:
 
     Both graphs must be undirected, or both directed.
     """
-    if isinstance(src, FiniteDigraph) and isinstance(dst, FiniteDigraph):
-        mapping = _as_map(f, src.n, dst.n)
-        return all(dst.has_arc(mapping[i], mapping[j]) for i, j in src.arcs)
-    if isinstance(src, FiniteGraph) and isinstance(dst, FiniteGraph):
-        mapping = _as_map(f, src.n, dst.n)
-        return all(dst.has_edge(mapping[i], mapping[j]) for i, j in src.edges)
-    raise ValueError("need two undirected graphs or two digraphs")
+    if not (isinstance(src, _Graph) and type(dst) is type(src)):
+        raise ValueError("need two undirected graphs or two digraphs")
+    mapping = _as_map(f, src.n, dst.n)
+    nbrs = dst._nbrs
+    return all(mapping[j] in nbrs[mapping[i]] for i, j in src._links)
 
 
 def verify_strong_homomorphism(f, src: FiniteGraph, dst: FiniteGraph) -> bool:

@@ -410,13 +410,13 @@ def test_adjacency_is_built_on_first_use_only():
     witness = chromatic_number(g).witness  # the solver reads only the edge list
     back = graph_from_json(json.loads(json.dumps(g.to_json())))
     assert back == g and verify_coloring(back, witness)
-    assert "_adj" not in back.__dict__ and "_adj" not in g.__dict__
+    assert "_nbrs" not in back.__dict__ and "_nbrs" not in g.__dict__
     d = lshift_digraph(2, 5)
     back = graph_from_json(json.loads(json.dumps(d.to_json())))
-    assert back == d and "_succ" not in back.__dict__
-    assert back.has_arc(*d.arcs[0]) and "_succ" in back.__dict__
+    assert back == d and "_nbrs" not in back.__dict__
+    assert back.has_arc(*d.arcs[0]) and "_nbrs" in back.__dict__
     back = graph_from_json(json.loads(json.dumps(g.to_json())))
-    assert back.degree(0) == g.degree(0) and "_adj" in back.__dict__
+    assert back.degree(0) == g.degree(0) and "_nbrs" in back.__dict__
 
 
 def test_lazy_adjacency_matches_eager_sets():

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .seqs import json_bool, json_ints
+from .seqs import json_array, json_bool, json_ints
 
 ZERO = "zero"
 PLUS = "plus"
@@ -366,7 +366,8 @@ class CoverPiece:
         kind = data["kind"]
         if type(kind) is not str:
             raise ValueError(f"cover piece kind must be a JSON string, got {kind!r}")
-        return cls(lo, hi, kind, k, tuple(Block.from_json(blk) for blk in data["blocks"]))
+        blocks = json_array(data["blocks"], "cover piece blocks")
+        return cls(lo, hi, kind, k, tuple(Block.from_json(blk) for blk in blocks))
 
 
 @dataclass(frozen=True)
@@ -380,7 +381,7 @@ class CoverWitness:
     @classmethod
     def from_json(cls, data: dict) -> "CoverWitness":
         (k,) = json_ints([data["k"]], "cover depth")
-        return cls(tuple(CoverPiece.from_json(p) for p in data["pieces"]), k)
+        return cls(tuple(CoverPiece.from_json(p) for p in json_array(data["pieces"], "cover pieces")), k)
 
 
 def _cover(classes: Sequence[ConvexClass], analyses: Sequence[ClassAnalysis]) -> CoverWitness:

@@ -10,7 +10,17 @@ from typing import Callable, Sequence
 
 from .decompose import Block, CoverWitness, plus_oriented, shift_levels, verify_cover
 from .graphs import FiniteDigraph, FiniteGraph, lshift_digraph, shift_graph
-from .seqs import IncreasingTuple, LexFrame, OrderTypePattern, _increasing_rows, _ranks, json_bool, json_ints, otp
+from .seqs import (
+    IncreasingTuple,
+    LexFrame,
+    OrderTypePattern,
+    _increasing_row,
+    _increasing_rows,
+    json_array,
+    json_bool,
+    json_ints,
+    otp,
+)
 
 
 class EmbeddingError(ValueError):
@@ -138,17 +148,17 @@ class EmbeddingMap:
         loads only if it lists exactly that graph.
         """
         frame = LexFrame(json_ints(data["frame"], "frame radices"))
+        pattern = OrderTypePattern.from_json(data["pattern"])
         cap = frame.size - 1
-        entries = data["images"]
+        entries = json_array(data["images"], "embedding images")
         rows = [e["values"] for e in entries if type(e) is dict and type(e.get("values")) is list]
         if len(rows) == len(entries) and set(map(type, chain.from_iterable(rows))) <= {int}:
-            images = _increasing_rows(rows, cap)
+            images = _increasing_rows(rows, pattern.length, cap)
         else:
             # anything else is read image by image, so the first fault is named first
             images = []
-            for entry in entries:
-                values = json_ints(entry["values"], "image values")
-                images.append(IncreasingTuple(values, max_len=len(values), max_value=cap))
+            for i, entry in enumerate(entries):
+                images.append(_increasing_row(i, json_ints(entry["values"], "image values"), pattern.length, cap))
         if "shift" in data:
             shift = data["shift"]
             k, n, directed = shift["k"], shift["n"], shift["directed"]
@@ -165,7 +175,7 @@ class EmbeddingMap:
         source = (lshift_digraph if directed else shift_graph)(k, n)
         if "shift" not in data and data["source"] != source.to_json():
             raise ValueError(f"legacy source graph is not the {k}-shift graph on {n} letters its vertices name")
-        return cls(source, frame, tuple(images), OrderTypePattern.from_json(data["pattern"]))
+        return cls(source, frame, tuple(images), pattern)
 
 
 def _realizer(pattern: OrderTypePattern) -> Callable[[tuple, tuple], bool]:
@@ -200,22 +210,14 @@ def verify_embedding(emb: EmbeddingMap) -> bool:
     """Check every edge or arc of the source realizes the pattern through the images.
 
     Arcs must realize it in arc direction; undirected edges in at least one
-    direction. When every image has the pattern's length, each direction is
-    one gather (_realizer). Otherwise each direction compares the rank rows
-    of its two images with the pattern's, and raises if their lengths differ.
+    direction. A map fails as a whole unless it has one image per source
+    vertex, each of the pattern's length; each direction is then one gather
+    (_realizer).
     """
     images = emb.images
-    if len(images) != emb.source.n:
+    if len(images) != emb.source.n or not set(map(len, images)) <= {emb.pattern.length}:
         return False
-    pattern = emb.pattern
-    if set(map(len, images)) <= {pattern.length}:
-        realizes = _realizer(pattern)
-    else:
-        want = (pattern.ranks_a, pattern.ranks_b)
-
-        def realizes(x: tuple, y: tuple) -> bool:
-            return _ranks(x, y) == want
-
+    realizes = _realizer(emb.pattern)
     if isinstance(emb.source, FiniteDigraph):
         return all(realizes(images[u], images[v]) for u, v in emb.source.arcs)
     return all(realizes(images[u], images[v]) or realizes(images[v], images[u]) for u, v in emb.source.edges)
@@ -242,7 +244,7 @@ def _assemble(
 ) -> EmbeddingMap:
     """Image coordinate j of vertex eta is base_j + step_j * eta[slot_j]; every edge or arc is checked."""
     rows = [[base + step * eta[slot] for base, step, slot in columns] for eta in source.vertices]
-    emb = EmbeddingMap(source, frame, _increasing_rows(rows, frame.size - 1), pattern)
+    emb = EmbeddingMap(source, frame, _increasing_rows(rows, pattern.length, frame.size - 1), pattern)
     if not verify_embedding(emb):
         raise EmbeddingError("constructed images fail the pattern check")
     return emb

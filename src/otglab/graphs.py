@@ -8,7 +8,7 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .seqs import OrderTypePattern, json_ints
+from .seqs import OrderTypePattern, json_array, json_ints
 
 
 def _label_json(label):
@@ -17,9 +17,7 @@ def _label_json(label):
 
 def _json_vertices(labels) -> list:
     """The vertex labels of a graph document, list labels as tuples, provided they are a JSON array."""
-    if not isinstance(labels, (list, tuple)):
-        raise ValueError(f"graph vertices must be a JSON array, got {labels!r}")
-    return [tuple(v) if isinstance(v, list) else v for v in labels]
+    return [tuple(v) if isinstance(v, list) else v for v in json_array(labels, "graph vertices")]
 
 
 def _json_pairs(pairs, what: str) -> list:
@@ -28,8 +26,7 @@ def _json_pairs(pairs, what: str) -> list:
     One C-level pass each checks the entries' types, their lengths and the
     endpoints' types; a loop runs only to name the first bad entry.
     """
-    if not isinstance(pairs, (list, tuple)):
-        raise ValueError(f"graph {what}s must be a JSON array, got {pairs!r}")
+    json_array(pairs, f"graph {what}s")
     if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
         for p in pairs:
             if not isinstance(p, (list, tuple)) or len(p) != 2:

@@ -109,19 +109,17 @@ def order_type_graph_oracle(pattern: OrderTypePattern, theta: int) -> FiniteGrap
 def embedding_oracle(emb: EmbeddingMap) -> bool:
     """verify_embedding by signs: each edge's images x, y have x_i - y_j of the sign of ra_i - rb_j.
 
-    Two increasing tuples have the pattern's order type exactly when all
-    their cross comparisons agree with those of its rank rows. Images of
-    another length than the pattern fail here rather than raise.
+    Two increasing tuples of the pattern's length have its order type exactly
+    when all their cross comparisons agree with those of its rank rows. A map
+    with an image of another length fails as a whole, as in verify_embedding.
     """
     ra, rb = emb.pattern.ranks_a, emb.pattern.ranks_b
 
     def realizes(x: Sequence[int], y: Sequence[int]) -> bool:
-        if len(x) != len(ra) or len(y) != len(rb):
-            return False
         return all((xi > yj) - (xi < yj) == (ri > rj) - (ri < rj) for xi, ri in zip(x, ra) for yj, rj in zip(y, rb))
 
     images = emb.images
-    if len(images) != emb.source.n:
+    if len(images) != emb.source.n or any(len(img) != len(ra) for img in images):
         return False
     if isinstance(emb.source, FiniteDigraph):
         return all(realizes(images[u], images[v]) for u, v in emb.source.arcs)

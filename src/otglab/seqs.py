@@ -41,26 +41,34 @@ class IncreasingTuple(tuple):
         return super().__new__(cls, vals)
 
 
-def _increasing_rows(rows: Sequence[Sequence[int]], max_value: int) -> tuple[IncreasingTuple, ...]:
-    """IncreasingTuples of integer rows, each row's length its own cap.
+def _increasing_rows(rows: Sequence[Sequence[int]], length: int, max_value: int) -> tuple[IncreasingTuple, ...]:
+    """IncreasingTuples of image rows that must each hold `length` integers.
 
-    When the rows have one length, one C-level pass per column accepts them
+    When every row has that length, one C-level pass per column accepts them
     all: the first column is >= 0, the last is <= max_value and each column
     lies strictly below the next. Together these are every check
     IncreasingTuple makes on such a row, so accepted rows skip it; nowhere
-    else does. Otherwise (rows of mixed length, or a failed column) each row
-    is built through IncreasingTuple, which names the first fault.
+    else does. Otherwise (a row of another length, or a failed column) each row
+    is read by _increasing_row, which names the first fault.
     """
     columns = list(zip(*rows))
     if (
         columns
-        and len(set(map(len, rows))) == 1
+        and set(map(len, rows)) == {length}
         and min(columns[0]) >= 0
         and max(columns[-1]) <= max_value
         and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
     ):
         return tuple(map(partial(tuple.__new__, IncreasingTuple), rows))
-    return tuple(IncreasingTuple(row, max_len=len(row), max_value=max_value) for row in rows)
+    return tuple(_increasing_row(i, row, length, max_value) for i, row in enumerate(rows))
+
+
+def _increasing_row(i: int, row: Sequence[int], length: int, max_value: int) -> IncreasingTuple:
+    """Image row i as an IncreasingTuple, its own length its cap, provided it holds `length` values."""
+    t = IncreasingTuple(row, max_len=len(row), max_value=max_value)
+    if len(t) != length:
+        raise ValueError(f"image {i} has {len(t)} values, not the pattern's {length}: {list(row)}")
+    return t
 
 
 def _reject(vals: tuple[int, ...], max_len: int, max_value: int) -> None:
@@ -116,11 +124,19 @@ class OrderTypePattern:
         return cls(length, json_ints(data["ra"], "pattern fields"), json_ints(data["rb"], "pattern fields"))
 
 
+def json_array(value, what: str, of: str = "") -> list | tuple:
+    """The value, provided it is a JSON array (a list, or a tuple built in-process); the error names the value.
+
+    of qualifies the array in the error, as in "must be a JSON array of integers".
+    """
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array{of}, got {value!r}")
+    return value
+
+
 def json_ints(values: Sequence, what: str) -> tuple:
     """The values as a tuple, provided they are a list or tuple of JSON integers (ints, not bools or floats)."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{what} must be a JSON array of integers, got {values!r}")
-    for v in values:
+    for v in json_array(values, what, " of integers"):
         if type(v) is not int:
             raise ValueError(f"{what} must be JSON integers, got {v!r}")
     return tuple(values)
@@ -133,19 +149,14 @@ def json_bool(value, what: str) -> bool:
     return value
 
 
-def _ranks(c: Sequence[int], d: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Rank of each entry of c and of d in their merged value set (the rank rows of otp)."""
-    if len(c) != len(d):
-        raise ValueError(f"length mismatch: {len(c)} vs {len(d)}")
-    merged = sorted({*c, *d})
-    rank = dict(zip(merged, range(len(merged))))
-    return tuple(map(rank.__getitem__, c)), tuple(map(rank.__getitem__, d))
-
-
 def otp(c: Iterable[int], d: Iterable[int]) -> OrderTypePattern:
     """Order type of the pair (c, d): ranks of each entry in the merged value set."""
     cs, ds = tuple(c), tuple(d)
-    return OrderTypePattern(len(cs), *_ranks(cs, ds))
+    if len(cs) != len(ds):
+        raise ValueError(f"length mismatch: {len(cs)} vs {len(ds)}")
+    merged = sorted({*cs, *ds})
+    rank = dict(zip(merged, range(len(merged))))
+    return OrderTypePattern(len(cs), tuple(map(rank.__getitem__, cs)), tuple(map(rank.__getitem__, ds)))
 
 
 def remap_monotone(t: Iterable[int], f: Callable[[int], int]) -> IncreasingTuple:

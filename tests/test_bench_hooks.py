@@ -29,3 +29,26 @@ def test_bench_span_targets_exist():
         for name in names + leaves:
             assert name in vars(cls), f"otglab.{modname}.{clsname}.{name}"
     assert set(spans.HOOKS) <= wrapped
+
+
+def test_instrument_traces_graph_json_and_restore_undoes_it():
+    spans = _load_spans()
+    for _, modname, _, _ in spans.FUNCTIONS:
+        importlib.import_module(f"otglab.{modname}")
+    graphs = importlib.import_module("otglab.graphs")
+    tracer = spans.Tracer()
+    undo = spans.instrument(tracer)
+    try:
+        g = graphs.shift_graph(2, 5)
+        back = graphs.FiniteGraph.from_json(g.to_json())
+        d = graphs.lshift_digraph(2, 4)
+        back_d = graphs.FiniteDigraph.from_json(d.to_json())
+    finally:
+        spans.restore(undo)
+    assert back == g and back_d == d
+    for target, key, orig in undo:
+        assert vars(target)[key] is orig, (target, key)
+    # the digraph's JSON shares FiniteGraph's code but is not traced under its name
+    names = {s[spans.NAME] for s in tracer.spans}
+    assert names == {"graphs.shift_graph", "graphs.FiniteGraph.to_json", "graphs.FiniteGraph.from_json"}
+    assert tracer.counts["graphs.edges"] == g.m

@@ -283,7 +283,7 @@ def test_verify_embedding_with_an_image_cut_short(tmp_path):
     path.write_text(json.dumps(doc))
     check = run_cli("verify", str(path))
     assert check.returncode == 2
-    assert check.stderr.strip() == "error: length mismatch: 3 vs 4"
+    assert check.stderr.strip() == f"error: image 0 has 3 values, not the pattern's 4: {doc['images'][0]['values']}"
 
 
 def test_verify_coloring_document(tmp_path):

@@ -152,6 +152,39 @@ def test_graph_pairs_of_another_json_type_are_usage_errors(capsys, tmp_path, key
         assert len(err) == 1 and err[0].endswith(f", got {value!r}"), (argv, err)
 
 
+def _retype_list(where, value) -> dict:
+    """A valid cover or embedding document with its pieces, first piece's blocks or images set to value."""
+    if where == "images":
+        return {**valid_documents()[0], "images": value}
+    doc = valid_documents()[1]
+    node = doc["cover"] if where == "pieces" else doc["cover"]["pieces"][0]
+    node[where] = value
+    return doc
+
+
+@pytest.mark.parametrize("value", list(RETYPED_PAIRS.values()), ids=list(RETYPED_PAIRS))
+@pytest.mark.parametrize("where", ["pieces", "blocks", "images"])
+def test_document_lists_of_another_json_type_are_usage_errors(capsys, tmp_path, where, value):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_retype_list(where, value)))
+    code, out, err, _ = run_main(capsys, ["verify", path])
+    assert (code, out) == (2, ""), where
+    assert len(err) == 1 and err[0].endswith(f", got {value!r}"), (where, err)
+
+
+@pytest.mark.parametrize("cut", [[0], [1], [0, 1, 2]], ids=["edge end", "isolated", "every image"])
+def test_embedding_images_of_another_length_are_usage_errors(capsys, tmp_path, cut):
+    # the source Sh_2(3) has one edge, (0,1)-(1,2); image 1, of the vertex (0,2), lies on no edge
+    doc = embedding_doc((1, 2, 3), (0, 1, 3), 3)
+    for i in cut:
+        doc["images"][i]["values"].pop()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err, _ = run_main(capsys, ["verify", path])
+    assert (code, out) == (2, "")
+    assert err == [f"error: image {cut[0]} has 2 values, not the pattern's 3: {doc['images'][cut[0]]['values']}"]
+
+
 def test_directory_input_is_usage_error(capsys, tmp_path):
     for argv in (["verify", tmp_path], ["chi", "--input", tmp_path]):
         code, out, err, _ = run_main(capsys, argv)
@@ -173,8 +206,8 @@ def test_negative_theta_is_usage_error(capsys):
     assert (code, out, err) == (2, "", ["error: theta must be >= 0"])
 
 
-def embedding_doc(a=(0, 1), b=(1, 2)) -> dict:
-    return cover_embedding(a, b, orderly_cover(a, b), 4).to_json()
+def embedding_doc(a=(0, 1), b=(1, 2), n=4) -> dict:
+    return cover_embedding(a, b, orderly_cover(a, b), n).to_json()
 
 
 def truncated_documents():

@@ -404,15 +404,22 @@ def test_embedding_from_json_names_the_fault_of_the_earlier_image(first, later, 
     assert type(info.value) is exc_type and str(info.value) == message
 
 
-def test_embedding_from_json_loads_images_of_mixed_length():
-    doc = cover_embedding(DEEP_A, DEEP_B, orderly_cover(DEEP_A, DEEP_B), 4).to_json()
-    short = doc["images"][0]["values"][:-1]
-    doc["images"][0]["values"] = short
-    emb = EmbeddingMap.from_json(doc)
-    assert all(type(img) is IncreasingTuple for img in emb.images)
-    assert list(emb.images[0]) == short and {len(img) for img in emb.images} == {3, 4}
-    with pytest.raises(ValueError, match=r"^length mismatch: 3 vs 4$"):
-        verify_embedding(emb)
+@pytest.mark.parametrize("cut", [[0], [1], [0, 1, 2]], ids=["edge end", "isolated", "every image"])
+def test_embedding_images_of_another_length_are_refused(cut):
+    # Sh_2(3) has one edge, (0,1)-(1,2); image 1, of the vertex (0,2), lies on no edge.
+    a, b = (1, 2, 3), (0, 1, 3)
+    emb = cover_embedding(a, b, orderly_cover(a, b), 3)
+    doc = emb.to_json()
+    images = list(emb.images)
+    for i in cut:
+        doc["images"][i]["values"].pop()
+        images[i] = IncreasingTuple(images[i][:-1])
+    first = doc["images"][cut[0]]["values"]
+    with pytest.raises(ValueError) as info:
+        EmbeddingMap.from_json(doc)
+    assert str(info.value) == f"image {cut[0]} has 2 values, not the pattern's 3: {first}"
+    short = EmbeddingMap(emb.source, emb.frame, tuple(images), emb.pattern)
+    assert verify_embedding(short) is False and embedding_oracle(short) is False
 
 
 def test_embedding_images_are_increasing_and_injective():
@@ -425,7 +432,8 @@ def test_embedding_images_are_increasing_and_injective():
 
 
 def perturbed(emb, rnd):
-    """(kind, copy) for copies of emb with one image coordinate moved by +-1, two images swapped, a longer pattern."""
+    """(kind, copy) for copies of emb with one image coordinate moved by +-1, two images swapped, one image
+    shortened, a longer pattern."""
     images = list(emb.images)
     i = rnd.randrange(len(images))
     j, step = rnd.randrange(len(images[i])), rnd.choice((-1, 1))
@@ -441,6 +449,12 @@ def perturbed(emb, rnd):
     i, j = rnd.sample(range(len(images)), 2)
     images[i], images[j] = images[j], images[i]
     yield "swapped", EmbeddingMap(emb.source, emb.frame, tuple(images), emb.pattern)
+    images = list(emb.images)
+    i = rnd.randrange(len(images))
+    if len(images[i]) > 1:
+        values = images[i][: rnd.randrange(1, len(images[i]))]
+        images[i] = IncreasingTuple(values, max_len=len(values), max_value=emb.frame.size - 1)
+        yield "shortened", EmbeddingMap(emb.source, emb.frame, tuple(images), emb.pattern)
     length = emb.pattern.length + 1
     yield "longer", EmbeddingMap(emb.source, emb.frame, emb.images, otp(range(length), range(1, length + 1)))
 
@@ -456,6 +470,7 @@ def test_verify_embedding_matches_sign_oracle():
         verdicts[kind, ok] += 1
     assert verdicts["corpus", True] == len(corpus) > 1000
     assert verdicts["longer", False] == len(corpus)
+    assert verdicts["shortened", False] > 1000 and verdicts["shortened", True] == 0
     # moves and swaps break many maps and leave some intact; both outcomes must agree
     for kind in ("moved", "swapped"):
         assert verdicts[kind, False] > 200 and verdicts[kind, True] > 200, verdicts

@@ -56,28 +56,35 @@ def test_increasing_tuple_fault_texts(values, caps, message):
     assert str(exc.value) == message
 
 
-def _rows_one_by_one(rows, max_value):
-    try:
-        return tuple(IncreasingTuple(row, max_len=len(row), max_value=max_value) for row in rows)
-    except ValueError as exc:
-        return str(exc)
+def _rows_one_by_one(rows, length, max_value):
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            out.append(IncreasingTuple(row, max_len=len(row), max_value=max_value))
+        except ValueError as exc:
+            return str(exc)
+        if len(row) != length:
+            return f"image {i} has {len(row)} values, not the pattern's {length}: {row}"
+    return tuple(out)
 
 
-def _rows_at_once(rows, max_value):
+def _rows_at_once(rows, length, max_value):
     try:
-        out = _increasing_rows(rows, max_value)
+        out = _increasing_rows(rows, length, max_value)
     except ValueError as exc:
         return str(exc)
     assert all(type(t) is IncreasingTuple for t in out)
     return out
 
 
-@given(st.lists(st.lists(st.integers(-2, 8), max_size=4), max_size=5))
+@given(st.lists(st.lists(st.integers(-2, 8), max_size=4), max_size=5), st.integers(1, 4))
 # rows of mixed length: zip(*rows) stops at the shortest, so a column pass would miss a longer row's tail
-@example([[1, 2], [1, 2, 0]])
-@example([[1, 2, 0], [1, 2]])
-def test_increasing_rows_reads_each_row_like_increasing_tuple(rows):
-    assert _rows_at_once(rows, 6) == _rows_one_by_one(rows, 6)
+@example([[1, 2], [1, 2, 0]], 2)
+@example([[1, 2, 0], [1, 2]], 3)
+# rows of one length, but not the required one
+@example([[1, 2], [3, 4]], 3)
+def test_increasing_rows_reads_each_row_like_increasing_tuple(rows, length):
+    assert _rows_at_once(rows, length, 6) == _rows_one_by_one(rows, length, 6)
 
 
 def test_otp_shift_pattern():

@@ -237,7 +237,7 @@ def _graph_outputs() -> list:
     Hand-made graphs add unsorted, reversed and repeated pairs, integer labels,
     and the constructor's self-loop, self-arc and out-of-range refusals.
     """
-    out = [_graph_texts(lambda g: g, g) + [_gen_table(argv)] for argv, g in _gen_graphs()]
+    out = [[repr(g), g.to_json(), g.to_dot(), _gen_table(argv)] for argv, g in _gen_graphs()]
     cases = [
         (FiniteGraph, [0, 1, 2, 3], [(2, 1), (0, 3), (1, 2), (3, 0), (0, 1)]),
         (FiniteDigraph, [0, 1, 2, 3], [(2, 1), (0, 3), (1, 2), (3, 0), (2, 1)]),

@@ -6,10 +6,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
+from operator import index
 from typing import Generator, Iterable, Sequence
 
 from .graphs import FiniteGraph, _as_map, order_type_graph, verify_homomorphism, verify_strong_homomorphism
-from .seqs import OrderTypePattern, json_ints
+from .seqs import OrderTypePattern, json_fields, json_ints
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,7 @@ class Coloring:
     palette: int
 
     def __post_init__(self) -> None:
-        colors = tuple(map(int, self.colors))
+        colors = tuple(map(index, self.colors))
         object.__setattr__(self, "colors", colors)
         if self.palette < 0:
             raise ValueError("palette size must be >= 0")
@@ -36,8 +37,9 @@ class Coloring:
 
     @classmethod
     def from_json(cls, data: dict) -> "Coloring":
-        (palette,) = json_ints([data["palette"]], "palette")
-        return cls(json_ints(data["colors"], "colors"), palette)
+        palette, colors = json_fields(data, "coloring", "palette", "colors")
+        (palette,) = json_ints([palette], "palette")
+        return cls(json_ints(colors, "colors"), palette)
 
 
 def verify_coloring(g: FiniteGraph, c: Coloring) -> bool:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .seqs import json_array, json_bool, json_ints
+from .seqs import json_array, json_bool, json_fields, json_ints
 
 ZERO = "zero"
 PLUS = "plus"
@@ -156,8 +156,9 @@ class Block:
 
     @classmethod
     def from_json(cls, data: dict) -> "Block":
-        lo, hi = json_ints((data["lo"], data["hi"]), "block bounds")
-        return cls(lo, hi, json_bool(data["closed"], "block closed"))
+        lo, hi, closed = json_fields(data, "block", "lo", "hi", "closed")
+        lo, hi = json_ints((lo, hi), "block bounds")
+        return cls(lo, hi, json_bool(closed, "block closed"))
 
 
 @dataclass(frozen=True)
@@ -362,12 +363,11 @@ class CoverPiece:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoverPiece":
-        lo, hi, k = json_ints((data["lo"], data["hi"], data["k"]), "cover piece fields")
-        kind = data["kind"]
+        lo, hi, kind, k, blocks = json_fields(data, "cover piece", "lo", "hi", "kind", "k", "blocks")
+        lo, hi, k = json_ints((lo, hi, k), "cover piece fields")
         if type(kind) is not str:
             raise ValueError(f"cover piece kind must be a JSON string, got {kind!r}")
-        blocks = json_array(data["blocks"], "cover piece blocks")
-        return cls(lo, hi, kind, k, tuple(Block.from_json(blk) for blk in blocks))
+        return cls(lo, hi, kind, k, tuple(Block.from_json(blk) for blk in json_array(blocks, "cover piece blocks")))
 
 
 @dataclass(frozen=True)
@@ -380,8 +380,9 @@ class CoverWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoverWitness":
-        (k,) = json_ints([data["k"]], "cover depth")
-        return cls(tuple(CoverPiece.from_json(p) for p in json_array(data["pieces"], "cover pieces")), k)
+        k, pieces = json_fields(data, "cover", "k", "pieces")
+        (k,) = json_ints([k], "cover depth")
+        return cls(tuple(CoverPiece.from_json(p) for p in json_array(pieces, "cover pieces")), k)
 
 
 def _cover(classes: Sequence[ConvexClass], analyses: Sequence[ClassAnalysis]) -> CoverWitness:

@@ -18,6 +18,7 @@ from .seqs import (
     _increasing_rows,
     json_array,
     json_bool,
+    json_fields,
     json_ints,
     otp,
 )
@@ -141,16 +142,12 @@ class EmbeddingMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "EmbeddingMap":
-        """Read a document, building its source from the shift graph it names.
-
-        A legacy document lists its source graph instead. It names the shift
-        graph of its vertex shape (k = tuple length, n = last letter + 1) and
-        loads only if it lists exactly that graph.
-        """
-        frame = LexFrame(json_ints(data["frame"], "frame radices"))
-        pattern = OrderTypePattern.from_json(data["pattern"])
+        """Read a document, building its source from the shift graph it names."""
+        frame, pattern, entries, shift = json_fields(data, "embedding", "frame", "pattern", "images", "shift")
+        frame = LexFrame(json_ints(frame, "frame radices"))
+        pattern = OrderTypePattern.from_json(pattern)
         cap = frame.size - 1
-        entries = json_array(data["images"], "embedding images")
+        entries = json_array(entries, "embedding images")
         rows = [e["values"] for e in entries if type(e) is dict and type(e.get("values")) is list]
         if len(rows) == len(entries) and set(map(type, chain.from_iterable(rows))) <= {int}:
             images = _increasing_rows(rows, pattern.length, cap)
@@ -158,13 +155,9 @@ class EmbeddingMap:
             # anything else is read image by image, so the first fault is named first
             images = []
             for i, entry in enumerate(entries):
-                images.append(_increasing_row(i, json_ints(entry["values"], "image values"), pattern.length, cap))
-        if "shift" in data:
-            shift = data["shift"]
-            k, n, directed = shift["k"], shift["n"], shift["directed"]
-        else:
-            vertices = data["source"]["vertices"]
-            k, n, directed = len(vertices[-1]), vertices[-1][-1] + 1, "arcs" in data["source"]
+                (values,) = json_fields(entry, f"image {i}", "values")
+                images.append(_increasing_row(i, json_ints(values, "image values"), pattern.length, cap))
+        k, n, directed = json_fields(shift, "shift", "k", "n", "directed")
         k, n = json_ints((k, n), "shift k and n")
         directed = json_bool(directed, "shift directed")
         if not 0 < k < n:
@@ -172,10 +165,7 @@ class EmbeddingMap:
         # 1 <= k < n gives n <= C(n, k), so the first test keeps comb() as small as the document.
         if n > len(images) or comb(n, k) != len(images):
             raise ValueError(f"{len(images)} images, not one per increasing {k}-tuple over {n} letters")
-        source = (lshift_digraph if directed else shift_graph)(k, n)
-        if "shift" not in data and data["source"] != source.to_json():
-            raise ValueError(f"legacy source graph is not the {k}-shift graph on {n} letters its vertices name")
-        return cls(source, frame, tuple(images), pattern)
+        return cls((lshift_digraph if directed else shift_graph)(k, n), frame, tuple(images), pattern)
 
 
 def _realizer(pattern: OrderTypePattern) -> Callable[[tuple, tuple], bool]:

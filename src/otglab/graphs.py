@@ -8,7 +8,7 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .seqs import OrderTypePattern, json_array, json_ints
+from .seqs import OrderTypePattern, json_array, json_fields, json_ints
 
 
 def _label_json(label):
@@ -46,9 +46,9 @@ class _Graph:
     """What FiniteGraph and FiniteDigraph share: an ordered vertex list and a checked, sorted list of index pairs.
 
     A subclass names its pairs (_pair: "edge" or "arc"; the JSON key is that
-    word plus "s"), its refused self-pair, its DOT keyword and bond, and
-    whether a pair is ordered. The neighbour index (successors in a digraph)
-    is built on first use.
+    word plus "s"), its refused self-pair, its DOT keyword (which also names
+    the document in reader errors) and bond, and whether a pair is ordered.
+    The neighbour index (successors in a digraph) is built on first use.
     """
 
     def __init__(self, vertices: Sequence, pairs: Iterable[tuple[int, int]]):
@@ -98,7 +98,8 @@ class _Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> "_Graph":
-        return cls(_json_vertices(data["vertices"]), _json_pairs(data[cls._pair + "s"], cls._pair))
+        vertices, pairs = json_fields(data, cls._dot, "vertices", cls._pair + "s")
+        return cls(_json_vertices(vertices), _json_pairs(pairs, cls._pair))
 
     def to_dot(self) -> str:
         lines = [self._dot + " G {"]
@@ -108,6 +109,13 @@ class _Graph:
             lines.append(f'  "{_label_dot(self.vertices[i])}" {self._bond} "{_label_dot(self.vertices[j])}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+    def to_table(self) -> str:
+        """The vertex and pair counts, then one line per pair: its endpoints' labels and the bond."""
+        lines = [f"vertices: {self.n}", f"{self._pair}s: {self.m}"]
+        for i, j in self._links:
+            lines.append(f"{self.vertices[i]} {self._bond} {self.vertices[j]}")
+        return "\n".join(lines)
 
 
 class FiniteGraph(_Graph):
@@ -155,6 +163,7 @@ class FiniteDigraph(_Graph):
 
 def graph_from_json(data: dict) -> FiniteGraph | FiniteDigraph:
     """Parse either emitted graph document ("edges" key = undirected, "arcs" = directed)."""
+    json_fields(data, "graph")
     if "arcs" in data:
         return FiniteDigraph.from_json(data)
     return FiniteGraph.from_json(data)
@@ -269,6 +278,8 @@ def verify_strong_homomorphism(f, src: FiniteGraph, dst: FiniteGraph) -> bool:
     Strong means edge iff image-edge: distinct vertices with the same image
     must be non-adjacent, since graphs carry no loops.
     """
+    if not (isinstance(src, FiniteGraph) and isinstance(dst, FiniteGraph)):
+        raise ValueError("strong homomorphism needs two undirected graphs")
     mapping = _as_map(f, src.n, dst.n)
     for i in range(src.n):
         for j in range(i + 1, src.n):
@@ -333,6 +344,8 @@ def find_subgraph_embedding(h: FiniteGraph, g: FiniteGraph, budget: int | None =
 
 def is_connected(g: FiniteGraph) -> bool:
     """Breadth-first reachability from vertex 0; errors on the empty graph."""
+    if not isinstance(g, FiniteGraph):
+        raise ValueError("connectivity needs an undirected graph")
     if g.n == 0:
         raise ValueError("connectivity undefined for the empty graph")
     seen = {0}

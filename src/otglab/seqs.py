@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import prod
-from operator import lt
+from operator import index, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_TUPLE_LEN = 16
@@ -27,7 +27,7 @@ class IncreasingTuple(tuple):
         max_len: int = MAX_TUPLE_LEN,
         max_value: int = MAX_TUPLE_VALUE,
     ) -> "IncreasingTuple":
-        vals = tuple(map(int, values))
+        vals = tuple(map(index, values))
         # Increasing with both ends in range puts every value in range, so one
         # C-level pass accepts; _reject runs only to name the first fault.
         if not (
@@ -120,8 +120,22 @@ class OrderTypePattern:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrderTypePattern":
-        (length,) = json_ints([data["n"]], "pattern fields")
-        return cls(length, json_ints(data["ra"], "pattern fields"), json_ints(data["rb"], "pattern fields"))
+        length, ranks_a, ranks_b = json_fields(data, "pattern", "n", "ra", "rb")
+        (length,) = json_ints([length], "pattern fields")
+        return cls(length, json_ints(ranks_a, "pattern fields"), json_ints(ranks_b, "pattern fields"))
+
+
+def json_fields(doc, what: str, *keys: str) -> tuple:
+    """The values of keys in doc, provided doc is a JSON object (a dict) holding them all; the error names the fault.
+
+    With no keys it only checks that doc is an object.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} has no {key!r}")
+    return tuple(map(doc.__getitem__, keys))
 
 
 def json_array(value, what: str, of: str = "") -> list | tuple:
@@ -175,7 +189,7 @@ class LexFrame:
     radices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "radices", tuple(int(r) for r in self.radices))
+        object.__setattr__(self, "radices", tuple(map(index, self.radices)))
         if not self.radices:
             raise ValueError("frame needs at least one radix")
         if any(r < 1 for r in self.radices):

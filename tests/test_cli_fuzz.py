@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import copy
 import json
 import random
@@ -116,6 +117,65 @@ def test_cli_fuzz_exits_cleanly(capsys, tmp_path):
         codes.append(assert_clean_exit(capsys, ["verify", path]))
     # The corpus reaches both the usage-error and the verdict paths.
     assert 2 in codes and {0, 1} & set(codes)
+
+
+# One value of each JSON type.
+JSON_TYPES = {"null": None, "bool": True, "number": 7, "string": "x", "array": [], "object": {}}
+
+# Keys of fields that `otg verify` does not read: the embedding's flag, and the report's parts other than the cover.
+UNREAD = ("verified", "signs", "classes", "analyses")
+
+EXCEPTION_NAMES = [name for name, c in vars(builtins).items() if isinstance(c, type) and issubclass(c, BaseException)]
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def is_read(path) -> bool:
+    """Whether `otg verify` reads the field at path: not an unread field, nor a graph's vertex label or part of one."""
+    return path[0] not in UNREAD and not (path[:2] == ("graph", "vertices") and len(path) > 2)
+
+
+def retyped_documents():
+    """(path, document): a valid document with the value at path set to each other JSON type, or its key deleted."""
+    for doc in valid_documents():
+        for path in paths(doc):
+            for change in [*JSON_TYPES, "deleted"]:
+                new = copy.deepcopy(doc)
+                node = new
+                for key in path[:-1]:
+                    node = node[key]
+                if change == "deleted" and isinstance(node, dict):
+                    del node[path[-1]]
+                elif change not in ("deleted", json_type(node[path[-1]])):
+                    node[path[-1]] = copy.deepcopy(JSON_TYPES[change])
+                else:
+                    continue
+                yield path, new
+
+
+def test_retyped_or_deleted_fields_are_usage_errors_unless_unread(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    unread = set()
+    for where, doc in retyped_documents():
+        path.write_text(json.dumps(doc))
+        code, out, err, _ = run_main(capsys, ["verify", path])
+        if is_read(where):
+            assert (code, out) == (2, ""), (where, doc)
+            assert len(err) == 1 and err[0].startswith("error: "), (where, err)
+            assert not [name for name in EXCEPTION_NAMES if name in err[0]], (where, err)
+        else:
+            assert code in (0, 1), (where, code, err)
+            unread.add(where[0] if where[0] in UNREAD else "vertex label")
+    # every exemption above is reached by the sweep
+    assert unread == {*UNREAD, "vertex label"}
 
 
 # One character or key per vertex, so that iterating the value would give a graph that loads.
@@ -249,14 +309,15 @@ PARENT_FORMAT_EMBEDDING = {
 }
 
 
-def test_verify_accepts_fresh_and_parent_format_embeddings(capsys, tmp_path):
+def test_verify_accepts_fresh_and_refuses_parent_format_embeddings(capsys, tmp_path):
     code, fresh, _, _ = run_main(capsys, ["embed", "--a", "0,1", "--b", "1,2", "--N", "3"])
     assert code == 0 and "source" not in json.loads(fresh)
     path = tmp_path / "doc.json"
-    for text in (fresh, json.dumps(PARENT_FORMAT_EMBEDDING)):
-        path.write_text(text)
-        code, out, _, _ = run_main(capsys, ["verify", path])
-        assert (code, json.loads(out)) == (0, {"kind": "embedding", "ok": True})
+    path.write_text(fresh)
+    code, out, _, _ = run_main(capsys, ["verify", path])
+    assert (code, json.loads(out)) == (0, {"kind": "embedding", "ok": True})
+    path.write_text(json.dumps(PARENT_FORMAT_EMBEDDING))
+    assert run_main(capsys, ["verify", path])[:3] == (2, "", ["error: embedding has no 'shift'"])
 
 
 def forged_documents() -> list[tuple[str, dict]]:

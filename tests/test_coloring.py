@@ -50,6 +50,13 @@ def test_verify_coloring_basics():
         Coloring((0, 2, 0), 2)  # color outside the declared palette
 
 
+@pytest.mark.parametrize("colors", [(0.9, 1.2), ("0", "1")])
+def test_coloring_refuses_non_integer_colors(colors):
+    # int() would truncate (0.9, 1.2) to (0, 1)
+    with pytest.raises(TypeError):
+        Coloring(colors, 2)
+
+
 def test_second_coordinate_parity_is_not_proper_on_shift():
     # (0,1)-(1,3) is an edge whose second coordinates are both odd
     g = shift_graph(2, 4)

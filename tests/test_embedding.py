@@ -249,27 +249,13 @@ def test_embedding_document_names_its_shift_graph():
         assert verify_embedding(back)
 
 
-def legacy_doc(emb: EmbeddingMap) -> dict:
-    """The document as written before embeddings named their source: the graph itself."""
+def test_a_document_that_lists_its_source_graph_is_refused():
+    # the form written before embeddings named their shift graph: the source graph itself, no "shift"
+    emb = cover_embedding((0, 1, 3), (1, 2, 4), orderly_cover((0, 1, 3), (1, 2, 4)), 4)
     doc = emb.to_json()
     del doc["shift"]
     doc["source"] = emb.source.to_json()
-    return doc
-
-
-def test_legacy_source_loads_only_as_the_graph_its_vertices_name():
-    a, b = (0, 1, 3), (1, 2, 4)
-    emb = cover_embedding(a, b, orderly_cover(a, b), 4)
-    lemma = lemma_embedding((0, 1), (1, 2), 2, class_blocks((0, 1), (1, 2)).blocks, 4)
-    for good in (emb, lemma):
-        assert EmbeddingMap.from_json(legacy_doc(good)) == good
-    doc = legacy_doc(emb)
-    doc["source"]["edges"] = []
-    with pytest.raises(ValueError, match="legacy source graph is not the 2-shift graph on 4 letters"):
-        EmbeddingMap.from_json(doc)
-    doc = legacy_doc(emb)
-    doc["source"]["vertices"].pop(0)
-    with pytest.raises(ValueError, match="^legacy source graph"):
+    with pytest.raises(ValueError, match="^embedding has no 'shift'$"):
         EmbeddingMap.from_json(doc)
 
 
@@ -336,40 +322,44 @@ def set_entry(entry):
     return fault
 
 
-# (fault, exception type, message given the image's original values)
+# (fault, exception type, message given the image's index and original values)
 IMAGE_FAULTS = {
-    "bool": (set_value(1, True), ValueError, lambda vals: "image values must be JSON integers, got True"),
-    "float": (set_value(0, 1.5), ValueError, lambda vals: "image values must be JSON integers, got 1.5"),
-    "string": (set_value(0, "15"), ValueError, lambda vals: "image values must be JSON integers, got '15'"),
-    "negative": (set_value(0, -1), ValueError, lambda vals: "value -1 outside [0, 199]"),
-    "above cap": (set_value(1, 200), ValueError, lambda vals: "value 200 outside [0, 199]"),
+    "bool": (set_value(1, True), ValueError, lambda i, vals: "image values must be JSON integers, got True"),
+    "float": (set_value(0, 1.5), ValueError, lambda i, vals: "image values must be JSON integers, got 1.5"),
+    "string": (set_value(0, "15"), ValueError, lambda i, vals: "image values must be JSON integers, got '15'"),
+    "negative": (set_value(0, -1), ValueError, lambda i, vals: "value -1 outside [0, 199]"),
+    "above cap": (set_value(1, 200), ValueError, lambda i, vals: "value 200 outside [0, 199]"),
     "not increasing": (
         set_entry(lambda e: {"values": e["values"][::-1]}),
         ValueError,
-        lambda vals: f"values not strictly increasing: {vals[1]} before {vals[0]}",
+        lambda i, vals: f"values not strictly increasing: {vals[1]} before {vals[0]}",
     ),
-    "empty": (set_entry(lambda e: {"values": []}), ValueError, lambda vals: "increasing tuple must be nonempty"),
+    "empty": (set_entry(lambda e: {"values": []}), ValueError, lambda i, vals: "increasing tuple must be nonempty"),
     "entry a list": (
         set_entry(lambda e: e["values"]),
-        TypeError,
-        lambda vals: "list indices must be integers or slices, not str",
+        ValueError,
+        lambda i, vals: f"image {i} must be a JSON object, got {vals}",
     ),
-    "entry a number": (set_entry(lambda e: 7), TypeError, lambda vals: "'int' object is not subscriptable"),
-    "no values": (set_entry(lambda e: {"value": e["values"]}), KeyError, lambda vals: "'values'"),
+    "entry a number": (set_entry(lambda e: 7), ValueError, lambda i, vals: f"image {i} must be a JSON object, got 7"),
+    "no values": (
+        set_entry(lambda e: {"value": e["values"]}),
+        ValueError,
+        lambda i, vals: f"image {i} has no 'values'",
+    ),
     "values a number": (
         set_entry(lambda e: {"values": 15}),
         ValueError,
-        lambda vals: "image values must be a JSON array of integers, got 15",
+        lambda i, vals: "image values must be a JSON array of integers, got 15",
     ),
     "values a string": (
         set_entry(lambda e: {"values": "15"}),
         ValueError,
-        lambda vals: "image values must be a JSON array of integers, got '15'",
+        lambda i, vals: "image values must be a JSON array of integers, got '15'",
     ),
     "values an object": (
         set_entry(lambda e: {"values": {"15": 15}}),
         ValueError,
-        lambda vals: "image values must be a JSON array of integers, got {'15': 15}",
+        lambda i, vals: "image values must be a JSON array of integers, got {'15': 15}",
     ),
 }
 
@@ -383,7 +373,7 @@ def test_embedding_from_json_names_the_first_image_fault(kind, image):
     fault(doc["images"], image)
     with pytest.raises(exc_type) as info:
         EmbeddingMap.from_json(doc)
-    assert type(info.value) is exc_type and str(info.value) == message(vals)
+    assert type(info.value) is exc_type and str(info.value) == message(image, vals)
 
 
 @pytest.mark.parametrize(
@@ -392,7 +382,7 @@ def test_embedding_from_json_names_the_first_image_fault(kind, image):
         ("negative", "bool", ValueError, "value -1 outside [0, 199]"),
         ("bool", "empty", ValueError, "image values must be JSON integers, got True"),
         ("not increasing", "entry a list", ValueError, "values not strictly increasing: 65 before 15"),
-        ("no values", "above cap", KeyError, "'values'"),
+        ("no values", "above cap", ValueError, "image 1 has no 'values'"),
     ],
 )
 def test_embedding_from_json_names_the_fault_of_the_earlier_image(first, later, exc_type, message):

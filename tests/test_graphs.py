@@ -262,6 +262,14 @@ def test_strong_homomorphism_reflects_edges():
     assert not verify_strong_homomorphism(f, weak, g)
 
 
+def test_strong_homomorphism_refuses_digraphs():
+    g, d = shift_graph(2, 4), lshift_digraph(2, 4)
+    identity = list(range(g.n))
+    for src, dst in ((g, d), (d, g), (d, d)):
+        with pytest.raises(ValueError, match=r"^strong homomorphism needs two undirected graphs$"):
+            verify_strong_homomorphism(identity, src, dst)
+
+
 def test_find_subgraph_found_and_absent():
     g = shift_graph(2, 5)
     c5 = FiniteGraph(list(range(5)), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -349,6 +357,11 @@ def test_is_connected():
     assert is_connected(shift_graph(1, 6))
     assert is_connected(FiniteGraph([0], []))
     assert not is_connected(FiniteGraph([0, 1, 2], [(0, 1)]))
+
+
+def test_is_connected_refuses_digraphs():
+    with pytest.raises(ValueError, match=r"^connectivity needs an undirected graph$"):
+        is_connected(lshift_digraph(2, 4))
 
 
 def test_shift_graphs_above_r1_have_an_isolated_vertex():

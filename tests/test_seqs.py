@@ -32,6 +32,13 @@ def test_increasing_tuple_rejects_out_of_range():
         IncreasingTuple((0, 1, 2), max_len=2)
 
 
+@pytest.mark.parametrize("values", [(0.5, 1.7), ("0", "1")])
+def test_increasing_tuple_refuses_non_integers(values):
+    # int() would truncate (0.5, 1.7) to (0, 1)
+    with pytest.raises(TypeError):
+        IncreasingTuple(values)
+
+
 def test_empty_tuple_rejected():
     with pytest.raises(ValueError):
         IncreasingTuple(())
@@ -194,6 +201,13 @@ def test_lex_frame_validation():
         fr.encode((3, 0))
     with pytest.raises(ValueError):
         fr.encode((0, 0, 0))
+
+
+@pytest.mark.parametrize("radices", [(2.9, 3), ("2", 3)])
+def test_lex_frame_refuses_non_integer_radices(radices):
+    # int() would truncate (2.9, 3) to (2, 3)
+    with pytest.raises(TypeError):
+        LexFrame(radices)
 
 
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=4))

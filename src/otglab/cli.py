@@ -151,10 +151,11 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _load_object(path: str) -> dict:
+    from .seqs import json_fields
+
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("unrecognized document: expected a JSON object")
+    json_fields(doc, "document")
     return doc
 
 

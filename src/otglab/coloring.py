@@ -3,34 +3,33 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from math import prod
 from operator import index
 from typing import Generator, Iterable, Sequence
 
 from .graphs import FiniteGraph, _as_map, order_type_graph, verify_homomorphism, verify_strong_homomorphism
-from .seqs import OrderTypePattern, json_fields, json_ints
+from .seqs import OrderTypePattern, _Record, _setattr, json_fields, json_ints
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
     """Total vertex coloring: colors[i] < palette for every vertex i."""
 
-    colors: tuple[int, ...]
-    palette: int
+    __slots__ = ("colors", "palette")
 
-    def __post_init__(self) -> None:
-        colors = tuple(map(index, self.colors))
-        object.__setattr__(self, "colors", colors)
-        if self.palette < 0:
+    def __init__(self, colors: tuple[int, ...], palette: int) -> None:
+        colors = tuple(map(index, colors))
+        palette = index(palette)
+        _setattr(self, "colors", colors)
+        _setattr(self, "palette", palette)
+        if palette < 0:
             raise ValueError("palette size must be >= 0")
         # Both extremes in range put every color in range, so min and max
         # accept; the loop runs only to name the first fault.
-        if colors and (min(colors) < 0 or max(colors) >= self.palette):
+        if colors and (min(colors) < 0 or max(colors) >= palette):
             for c in colors:
-                if c < 0 or c >= self.palette:
-                    raise ValueError(f"color {c} outside palette of size {self.palette}")
+                if c < 0 or c >= palette:
+                    raise ValueError(f"color {c} outside palette of size {palette}")
 
     def to_json(self) -> dict:
         return {"palette": self.palette, "colors": list(self.colors)}
@@ -100,19 +99,21 @@ def _clique_mask(masks: list[int]) -> int:
     return clique
 
 
-@dataclass(frozen=True)
-class ChiResult:
+class ChiResult(_Record):
     """Exact chromatic number, or bounds when the node budget ran out.
 
     chi is None exactly in the inconclusive case; witness always holds the best
     proper coloring seen (palette == upper).
     """
 
-    chi: int | None
-    lower: int
-    upper: int
-    witness: Coloring
-    nodes: int
+    __slots__ = ("chi", "lower", "upper", "witness", "nodes")
+
+    def __init__(self, chi: int | None, lower: int, upper: int, witness: Coloring, nodes: int) -> None:
+        _setattr(self, "chi", chi)
+        _setattr(self, "lower", lower)
+        _setattr(self, "upper", upper)
+        _setattr(self, "witness", witness)
+        _setattr(self, "nodes", nodes)
 
     @property
     def exact(self) -> bool:
@@ -453,13 +454,15 @@ def quotient_coloring(f, h: FiniteGraph, g: FiniteGraph, c: Coloring) -> Colorin
     return Coloring(tuple(c.colors[section[v]] for v in range(g.n)), c.palette)
 
 
-@dataclass(frozen=True)
-class PatternUnionResult:
+class PatternUnionResult(_Record):
     """Product bound for a union of order-type graphs on a shared vertex set."""
 
-    bound: int | None
-    coloring: Coloring | None
-    parts: tuple[ChiResult, ...]
+    __slots__ = ("bound", "coloring", "parts")
+
+    def __init__(self, bound: int | None, coloring: Coloring | None, parts: tuple[ChiResult, ...]) -> None:
+        _setattr(self, "bound", bound)
+        _setattr(self, "coloring", coloring)
+        _setattr(self, "parts", parts)
 
     @property
     def exact_parts(self) -> bool:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import lt
 from typing import Sequence
 
-from .seqs import json_array, json_bool, json_fields, json_ints
+from .seqs import _Record, _setattr, json_array, json_bool, json_fields, json_ints
 
 ZERO = "zero"
 PLUS = "plus"
@@ -19,11 +19,13 @@ class DecompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SignPartition:
-    zero: tuple[int, ...]
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
+class SignPartition(_Record):
+    __slots__ = ("zero", "plus", "minus")
+
+    def __init__(self, zero: tuple[int, ...], plus: tuple[int, ...], minus: tuple[int, ...]) -> None:
+        _setattr(self, "zero", zero)
+        _setattr(self, "plus", plus)
+        _setattr(self, "minus", minus)
 
     def sign_of(self, i: int) -> str:
         if i in self.zero:
@@ -40,7 +42,7 @@ def _check_pair(a: Sequence[int], b: Sequence[int]) -> None:
     if len(a) != len(b) or not a:
         raise DecompositionError("need two nonempty tuples of equal length")
     for t in (a, b):
-        if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+        if not all(map(lt, t, t[1:])):
             raise DecompositionError("tuples must be strictly increasing")
 
 
@@ -76,13 +78,15 @@ def generator_pairs(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int]]
     return out
 
 
-@dataclass(frozen=True)
-class ConvexClass:
+class ConvexClass(_Record):
     """Maximal run of related indices [lo, hi], all of one sign."""
 
-    lo: int
-    hi: int
-    sign: str
+    __slots__ = ("lo", "hi", "sign")
+
+    def __init__(self, lo: int, hi: int, sign: str) -> None:
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        _setattr(self, "sign", sign)
 
     @property
     def indices(self) -> range:
@@ -140,13 +144,15 @@ def classes_separated(a: Sequence[int], b: Sequence[int], first: ConvexClass, se
     return max(fa) < min(sa) and max(fb) < min(sb) and max(fa) < min(sb) and max(fb) < min(sa)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Record):
     """Half-open value interval [lo, hi), or closed [lo, hi] for the final block."""
 
-    lo: int
-    hi: int
-    closed: bool = False
+    __slots__ = ("lo", "hi", "closed")
+
+    def __init__(self, lo: int, hi: int, closed: bool = False) -> None:
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        _setattr(self, "closed", closed)
 
     def contains(self, x: int) -> bool:
         return self.lo <= x <= self.hi if self.closed else self.lo <= x < self.hi
@@ -161,14 +167,18 @@ class Block:
         return cls(lo, hi, json_bool(closed, "block closed"))
 
 
-@dataclass(frozen=True)
-class ClassAnalysis:
+class ClassAnalysis(_Record):
     """Ladder structure of one strictly-plus class (minus classes are analyzed swapped)."""
 
-    cls: ConvexClass
-    deltas: tuple[int, ...]
-    blocks: tuple[Block, ...]
-    zetas: tuple[int, ...]
+    __slots__ = ("cls", "deltas", "blocks", "zetas")
+
+    def __init__(
+        self, cls: ConvexClass, deltas: tuple[int, ...], blocks: tuple[Block, ...], zetas: tuple[int, ...]
+    ) -> None:
+        _setattr(self, "cls", cls)
+        _setattr(self, "deltas", deltas)
+        _setattr(self, "blocks", blocks)
+        _setattr(self, "zetas", zetas)
 
     @property
     def depth(self) -> int:
@@ -333,8 +343,7 @@ def is_k_orderly(a: Sequence[int], b: Sequence[int], k: int) -> tuple[Block, ...
     return exhaustive_k_orderly(a, b, k)
 
 
-@dataclass(frozen=True)
-class CoverPiece:
+class CoverPiece(_Record):
     """One convex index range of a cover with its certified kind.
 
     kind "A": the restricted pair itself is k-orderly; kind "B": the swapped
@@ -342,11 +351,14 @@ class CoverPiece:
     no blocks).
     """
 
-    lo: int
-    hi: int
-    kind: str
-    k: int
-    blocks: tuple[Block, ...]
+    __slots__ = ("lo", "hi", "kind", "k", "blocks")
+
+    def __init__(self, lo: int, hi: int, kind: str, k: int, blocks: tuple[Block, ...]) -> None:
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        _setattr(self, "kind", kind)
+        _setattr(self, "k", k)
+        _setattr(self, "blocks", blocks)
 
     @property
     def indices(self) -> range:
@@ -370,10 +382,12 @@ class CoverPiece:
         return cls(lo, hi, kind, k, tuple(Block.from_json(blk) for blk in json_array(blocks, "cover piece blocks")))
 
 
-@dataclass(frozen=True)
-class CoverWitness:
-    pieces: tuple[CoverPiece, ...]
-    k: int
+class CoverWitness(_Record):
+    __slots__ = ("pieces", "k")
+
+    def __init__(self, pieces: tuple[CoverPiece, ...], k: int) -> None:
+        _setattr(self, "pieces", pieces)
+        _setattr(self, "k", k)
 
     def to_json(self) -> dict:
         return {"k": self.k, "pieces": [p.to_json() for p in self.pieces]}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import comb, prod
 from operator import itemgetter, lt
@@ -14,8 +13,10 @@ from .seqs import (
     IncreasingTuple,
     LexFrame,
     OrderTypePattern,
+    _Record,
     _increasing_row,
     _increasing_rows,
+    _setattr,
     json_array,
     json_bool,
     json_fields,
@@ -36,8 +37,7 @@ def _pred(t: tuple[int, ...], top: int) -> tuple[int, ...]:
     return t
 
 
-@dataclass(frozen=True)
-class LevelMaps:
+class LevelMaps(_Record):
     """Star-digit tuples realizing the ladder of a k-orderly pair.
 
     Index beta sits at block level levels[beta] and gets the k-digit tuple
@@ -46,9 +46,12 @@ class LevelMaps:
     comparison realizes the star order.
     """
 
-    k: int
-    levels: tuple[int, ...]
-    digits: tuple[tuple[int, ...], ...]
+    __slots__ = ("k", "levels", "digits")
+
+    def __init__(self, k: int, levels: tuple[int, ...], digits: tuple[tuple[int, ...], ...]) -> None:
+        _setattr(self, "k", k)
+        _setattr(self, "levels", levels)
+        _setattr(self, "digits", digits)
 
 
 def _check_orderly(a: Sequence[int], b: Sequence[int], k: int, blocks: Sequence[Block]) -> list[int]:
@@ -116,8 +119,7 @@ def build_level_maps(
     return LevelMaps(k, tuple(levels), tuple(digits))
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
+class EmbeddingMap(_Record):
     """Vertex images of a shift graph inside a lex frame, realizing a pattern.
 
     The source is the k-shift graph on n letters (shift_graph) or its left-shift
@@ -125,10 +127,19 @@ class EmbeddingMap:
     rather than listing it, and reading the document builds it again.
     """
 
-    source: FiniteGraph | FiniteDigraph
-    frame: LexFrame
-    images: tuple[IncreasingTuple, ...]
-    pattern: OrderTypePattern
+    __slots__ = ("source", "frame", "images", "pattern")
+
+    def __init__(
+        self,
+        source: FiniteGraph | FiniteDigraph,
+        frame: LexFrame,
+        images: tuple[IncreasingTuple, ...],
+        pattern: OrderTypePattern,
+    ) -> None:
+        _setattr(self, "source", source)
+        _setattr(self, "frame", frame)
+        _setattr(self, "images", images)
+        _setattr(self, "pattern", pattern)
 
     def to_json(self) -> dict:
         last = self.source.vertices[-1]

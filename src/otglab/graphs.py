@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .seqs import OrderTypePattern, json_array, json_fields, json_ints
+from .seqs import OrderTypePattern, _Record, _setattr, json_array, json_fields, json_ints
 
 
 def _label_json(label):
@@ -288,17 +287,19 @@ def verify_strong_homomorphism(f, src: FiniteGraph, dst: FiniteGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SubgraphSearch:
+class SubgraphSearch(_Record):
     """Outcome of a subgraph-embedding search.
 
     status is "found" (mapping set), "absent" (search space exhausted), or
     "inconclusive" (budget ran out before either answer).
     """
 
-    status: str
-    mapping: tuple[int, ...] | None
-    nodes: int
+    __slots__ = ("status", "mapping", "nodes")
+
+    def __init__(self, status: str, mapping: tuple[int, ...] | None, nodes: int) -> None:
+        _setattr(self, "status", status)
+        _setattr(self, "mapping", mapping)
+        _setattr(self, "nodes", nodes)
 
 
 def find_subgraph_embedding(h: FiniteGraph, g: FiniteGraph, budget: int | None = None) -> SubgraphSearch:

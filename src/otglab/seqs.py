@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import prod
-from operator import index, lt
+from operator import attrgetter, index, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_TUPLE_LEN = 16
@@ -85,8 +84,53 @@ def _reject(vals: tuple[int, ...], max_len: int, max_value: int) -> None:
             raise ValueError(f"values not strictly increasing: {x} before {y}")
 
 
-@dataclass(frozen=True)
-class OrderTypePattern:
+# Records refuse assignment, so their __init__ set fields through object.__setattr__,
+# bound once here to save an attribute lookup per field.
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of otglab's records: their fields are the subclass's __slots__, in order.
+
+    Each subclass sets its fields in its own __init__ with _setattr.
+    A record is immutable, equal only to a record of its own class with equal
+    fields, hashes as the tuple of its fields, pickles as its class and fields,
+    and reprs as Name(field=value, ...). Defining a subclass generates and
+    compiles no code. A mutable subclass sets __setattr__ and __delattr__ back
+    to object's and __hash__ to None.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._values = get if len(cls.__slots__) > 1 else staticmethod(lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OrderTypePattern(_Record):
     """Canonical order type of a pair of increasing tuples.
 
     ranks_a / ranks_b give each value's rank in the sorted union of both
@@ -94,19 +138,20 @@ class OrderTypePattern:
     remap-invariant of the pair.
     """
 
-    length: int
-    ranks_a: tuple[int, ...]
-    ranks_b: tuple[int, ...]
+    __slots__ = ("length", "ranks_a", "ranks_b")
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
+    def __init__(self, length: int, ranks_a: tuple[int, ...], ranks_b: tuple[int, ...]) -> None:
+        _setattr(self, "length", length)
+        _setattr(self, "ranks_a", ranks_a)
+        _setattr(self, "ranks_b", ranks_b)
+        if length < 1:
             raise ValueError("pattern length must be >= 1")
-        for ranks in (self.ranks_a, self.ranks_b):
-            if len(ranks) != self.length:
+        for ranks in (ranks_a, ranks_b):
+            if len(ranks) != length:
                 raise ValueError("rank sequence length mismatch")
-            if any(x >= y for x, y in zip(ranks, ranks[1:])):
+            if not all(map(lt, ranks, ranks[1:])):
                 raise ValueError("rank sequence not strictly increasing")
-        used = set(self.ranks_a) | set(self.ranks_b)
+        used = set(ranks_a) | set(ranks_b)
         if used != set(range(len(used))):
             raise ValueError("ranks must form a contiguous block 0..m-1")
 
@@ -178,21 +223,21 @@ def remap_monotone(t: Iterable[int], f: Callable[[int], int]) -> IncreasingTuple
     return IncreasingTuple(f(v) for v in t)
 
 
-@dataclass(frozen=True)
-class LexFrame:
+class LexFrame(_Record):
     """Mixed-radix frame, most significant digit first.
 
     Encoding digit vectors to naturals preserves lexicographic order, which is
     the only property the embedding constructions rely on.
     """
 
-    radices: tuple[int, ...]
+    __slots__ = ("radices",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radices", tuple(map(index, self.radices)))
-        if not self.radices:
+    def __init__(self, radices: tuple[int, ...]) -> None:
+        radices = tuple(map(index, radices))
+        _setattr(self, "radices", radices)
+        if not radices:
             raise ValueError("frame needs at least one radix")
-        if any(r < 1 for r in self.radices):
+        if any(r < 1 for r in radices):
             raise ValueError("radices must be >= 1")
 
     @property

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import index
 from typing import Iterable, Sequence
 
 from .coloring import (
@@ -34,7 +34,7 @@ from .embedding import EmbeddingMap, cover_embedding, verify_embedding
 from .graphs import FiniteGraph
 from .oracles import brute_chromatic, closure_oracle, exhaustive_min_k
 from .rng import SplitMix64, case_seed, random_pair
-from .seqs import MAX_TUPLE_LEN, LexFrame, otp, remap_monotone
+from .seqs import MAX_TUPLE_LEN, LexFrame, _Record, _setattr, otp, remap_monotone
 
 DECOMP_CHECKS = (
     "sign-purity",
@@ -46,16 +46,17 @@ DECOMP_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteCaps:
-    max_len: int = 8
-    value_bound: int = 32
+class SuiteCaps(_Record):
+    __slots__ = ("max_len", "value_bound")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_len <= MAX_TUPLE_LEN or self.value_bound < 2:
+    def __init__(self, max_len: int = 8, value_bound: int = 32) -> None:
+        max_len, value_bound = index(max_len), index(value_bound)
+        _setattr(self, "max_len", max_len)
+        _setattr(self, "value_bound", value_bound)
+        if not 1 <= max_len <= MAX_TUPLE_LEN or value_bound < 2:
             raise ValueError(
                 f"need 1 <= max_len <= {MAX_TUPLE_LEN} and value_bound >= 2, "
-                f"got max_len = {self.max_len}, value_bound = {self.value_bound}"
+                f"got max_len = {max_len}, value_bound = {value_bound}"
             )
 
     def to_json(self) -> dict:
@@ -327,14 +328,22 @@ def run_case(stream_seed: int, caps: SuiteCaps, only: Iterable[str] | None = Non
     return {"pair": (a, b), "results": results}
 
 
-@dataclass
-class SuiteReport:
-    seed: int
-    count: int
-    caps: SuiteCaps
-    checks: tuple[str, ...]
-    tallies: dict
-    failures: list
+class SuiteReport(_Record):
+    __slots__ = ("seed", "count", "caps", "checks", "tallies", "failures")
+    # unlike the other records, a report is mutable and so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, seed: int, count: int, caps: SuiteCaps, checks: tuple[str, ...], tallies: dict, failures: list
+    ) -> None:
+        self.seed = seed
+        self.count = count
+        self.caps = caps
+        self.checks = checks
+        self.tallies = tallies
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

@@ -309,6 +309,16 @@ def test_verify_unknown_document(tmp_path):
     assert run_cli("verify", str(path)).returncode == 2
 
 
+@pytest.mark.parametrize("command", [["verify"], ["chi", "--input"]])
+@pytest.mark.parametrize("doc", [[1, 2], 5, "x", None])
+def test_a_document_that_is_not_an_object_is_named(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli(*command, str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.strip() == f"error: document must be a JSON object, got {doc!r}"
+
+
 def test_verify_schema_errors_are_usage_errors(tmp_path):
     emb = json.loads(run_cli("embed", "--a", "0,1", "--b", "1,2", "--N", "4").stdout)
     graph = shift_graph(2, 4).to_json()

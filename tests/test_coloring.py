@@ -50,11 +50,18 @@ def test_verify_coloring_basics():
         Coloring((0, 2, 0), 2)  # color outside the declared palette
 
 
-@pytest.mark.parametrize("colors", [(0.9, 1.2), ("0", "1")])
-def test_coloring_refuses_non_integer_colors(colors):
-    # int() would truncate (0.9, 1.2) to (0, 1)
+@pytest.mark.parametrize(
+    "colors, palette",
+    [
+        pytest.param((0.9, 1.2), 2, id="colors0"),
+        pytest.param(("0", "1"), 2, id="colors1"),
+        pytest.param((0, 1), 2.5, id="palette"),
+    ],
+)
+def test_coloring_refuses_non_integer_colors(colors, palette):
+    # int() would truncate (0.9, 1.2) to (0, 1); a palette of 2.5 would be written to JSON that from_json refuses
     with pytest.raises(TypeError):
-        Coloring(colors, 2)
+        Coloring(colors, palette)
 
 
 def test_second_coordinate_parity_is_not_proper_on_shift():

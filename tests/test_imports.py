@@ -46,6 +46,18 @@ def test_import_loads_no_submodule():
     assert fresh(code) == ["otglab"]
 
 
+def test_submodules_load_neither_dataclasses_nor_inspect():
+    # records generate no code at import, so nothing pulls in the modules that generate it
+    code = (
+        "import importlib, json, sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {[*SUBMODULES, 'cli']!r}:\n"
+        "    importlib.import_module('otglab.' + name)\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+    )
+    assert fresh(code) == []
+
+
 def test_gen_sh_loads_only_graphs_and_seqs():
     code = (
         "import contextlib, io, json, sys\n"

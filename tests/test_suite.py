@@ -101,6 +101,13 @@ def test_suite_caps_reject_out_of_range():
     assert SuiteCaps(max_len=16, value_bound=2).max_len == 16
 
 
+@pytest.mark.parametrize("caps", [(4.5, 32.7), (4.5, 32), (4, "32")])
+def test_suite_caps_refuse_non_integers(caps):
+    # a float cap used to fail only later, inside run_suite
+    with pytest.raises(TypeError):
+        SuiteCaps(*caps)
+
+
 def test_report_json_shape():
     report = run_suite(2, 10)
     doc = json.loads(json.dumps(report.to_json()))

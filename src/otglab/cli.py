@@ -22,12 +22,9 @@ EXIT_BUDGET = 3
 
 def _tuple_arg(text: str) -> tuple[int, ...]:
     try:
-        vals = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("tuple must be nonempty")
-    return vals
 
 
 def _checks_arg(text: str) -> tuple[str, ...]:

@@ -12,7 +12,6 @@ from .seqs import _Record, _setattr, json_array, json_bool, json_fields, json_in
 ZERO = "zero"
 PLUS = "plus"
 MINUS = "minus"
-MAX_MERGED = 24
 
 
 class DecompositionError(ValueError):
@@ -287,21 +286,19 @@ def analyze_class(a: Sequence[int], b: Sequence[int], cls: ConvexClass) -> Class
     return ClassAnalysis(cls, tuple(deltas), tuple(blocks), tuple(zetas))
 
 
-def _merged_values(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    return sorted(set(a) | set(b))
-
-
 def exhaustive_k_orderly(a: Sequence[int], b: Sequence[int], k: int) -> tuple[Block, ...] | None:
     """Search all ways to cut the merged values into k+1 convex blocks.
 
     Returns blocks witnessing the ladder condition (each a_i one block below
     b_i) or None. Cuts are placed between distinct merged values, so empty
-    middle blocks are representable.
+    middle blocks are representable. The search tries up to C(m + k, k) cuts
+    of m merged values; it is the reference that oracles.exhaustive_min_k
+    checks is_k_orderly against.
     """
     _check_pair(a, b)
     if k < 1:
         raise DecompositionError("need k >= 1")
-    values = _merged_values(a, b)
+    values = sorted(set(a) | set(b))
     m = len(values)
     lo, hi = values[0], values[-1]
     for cuts in combinations_with_replacement(range(m + 1), k):
@@ -316,10 +313,26 @@ def exhaustive_k_orderly(a: Sequence[int], b: Sequence[int], k: int) -> tuple[Bl
 def is_k_orderly(a: Sequence[int], b: Sequence[int], k: int) -> tuple[Block, ...] | None:
     """Blocks witnessing that the pair is k-orderly, or None.
 
-    Pairs whose convex closure is a single plus class have a canonical answer:
-    the minimal k equals the ladder depth, and larger k pad empty top blocks.
-    Everything else falls back to exhaustive cut search, capped at MAX_MERGED
-    distinct values.
+    A witness is k + 1 consecutive value blocks that hold every a_i exactly
+    one block below b_i. The pair has one exactly when every class of its
+    convex closure is plus and k is at least the sum of the class depths.
+
+    The witness joins the classes' ladder blocks in class order: each class's
+    closed top block merges with the next class's bottom block. The classes
+    are value-separated, so no value lies between the two, and the join has
+    one block more than the depths add up to. Larger k pad empty blocks above.
+
+    No witness has fewer blocks. Take a class's ladder indices (its deltas)
+    delta_0 < ... < delta_{d-1}, where b[delta_m] <= a[delta_{m+1}]. Blocks
+    are ordered by value, so in any witness a[delta_{m+1}] sits no lower than
+    b[delta_m], which sits one block above a[delta_m]. Hence b[delta_{d-1}]
+    sits at least d blocks above a[delta_0]: a depth-d class spans at least
+    d + 1 blocks. The next class's values all lie above this class's, so its
+    lowest sits no lower than this class's top block. Summing over the
+    classes, k + 1 >= (the sum of depths) + 1.
+
+    A zero or minus index, a_i >= b_i, cannot sit one block below b_i, so a
+    class of either sign leaves no witness at all.
     """
     _check_pair(a, b)
     if k < 1:
@@ -327,20 +340,23 @@ def is_k_orderly(a: Sequence[int], b: Sequence[int], k: int) -> tuple[Block, ...
     if tuple(a) == tuple(b):
         return None
     classes = convex_closure(a, b)
-    if len(classes) == 1 and classes[0].sign == PLUS:
-        analysis = analyze_class(a, b, classes[0])
-        if k < analysis.depth:
-            return None
-        blocks = list(analysis.blocks)
-        if k > analysis.depth:
-            last = blocks.pop()
-            blocks.append(Block(last.lo, last.hi + 1))
-            blocks.extend(Block(last.hi + 1, last.hi + 1) for _ in range(k - analysis.depth - 1))
-            blocks.append(Block(last.hi + 1, last.hi, closed=True))
-        return tuple(blocks)
-    if len(_merged_values(a, b)) > MAX_MERGED:
-        raise DecompositionError("pair too large for exhaustive orderliness search")
-    return exhaustive_k_orderly(a, b, k)
+    if any(cls.sign != PLUS for cls in classes):
+        return None
+    blocks: list[Block] = []
+    for cls in classes:
+        own = analyze_class(a, b, cls).blocks
+        if blocks:
+            own = (Block(blocks.pop().lo, own[0].hi),) + own[1:]
+        blocks.extend(own)
+    depth = len(blocks) - 1
+    if k < depth:
+        return None
+    if k > depth:
+        last = blocks.pop()
+        blocks.append(Block(last.lo, last.hi + 1))
+        blocks.extend(Block(last.hi + 1, last.hi + 1) for _ in range(k - depth - 1))
+        blocks.append(Block(last.hi + 1, last.hi, closed=True))
+    return tuple(blocks)
 
 
 class CoverPiece(_Record):

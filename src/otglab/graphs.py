@@ -15,8 +15,28 @@ def _label_json(label):
 
 
 def _json_vertices(labels) -> list:
-    """The vertex labels of a graph document, list labels as tuples, provided they are a JSON array."""
-    return [tuple(v) if isinstance(v, list) else v for v in json_array(labels, "graph vertices")]
+    """The vertex labels of a graph document, list labels as tuples.
+
+    They must be a JSON array of distinct labels, each a JSON integer or a
+    JSON array of JSON integers. As in _json_pairs, one C-level pass makes
+    each check, and a loop runs only to name the first bad label.
+    """
+    vertices = [tuple(v) if isinstance(v, list) else v for v in json_array(labels, "graph vertices")]
+    if not (
+        set(map(type, vertices)) <= {int, tuple}
+        and set(map(type, chain.from_iterable(filter(tuple.__instancecheck__, vertices)))) <= {int}
+    ):
+        for v in vertices:
+            if not (type(v) is int or type(v) is tuple and all(type(x) is int for x in v)):
+                label = _label_json(v)
+                raise ValueError(f"each vertex label must be a JSON integer or a JSON array of them, got {label!r}")
+    if len(set(vertices)) != len(vertices):
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                raise ValueError(f"vertex label {_label_json(v)!r} is listed twice")
+            seen.add(v)
+    return vertices
 
 
 def _json_pairs(pairs, what: str) -> list:

@@ -93,6 +93,8 @@ def test_chi_input_schema_errors_are_usage_errors(tmp_path):
         {"vertices": [0, 1], "edges": 5},
         {"vertices": "abc", "edges": [[0, 1], [1, 2], [0, 2]]},
         {"vertices": {"p": 1, "q": 2}, "edges": [[0, 1]]},
+        {"vertices": [[0, 1], [0, 1], [0, 2]], "edges": [[0, 2]]},
+        {"vertices": [0, "s", 2], "edges": [[0, 2]]},
     ]
     path = tmp_path / "graph.json"
     for doc in docs:

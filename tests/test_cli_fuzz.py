@@ -139,8 +139,13 @@ def json_type(value) -> str:
 
 
 def is_read(path) -> bool:
-    """Whether `otg verify` reads the field at path: not an unread field, nor a graph's vertex label or part of one."""
-    return path[0] not in UNREAD and not (path[:2] == ("graph", "vertices") and len(path) > 2)
+    """Whether `otg verify` reads the field at path: it is not an unread field."""
+    return path[0] not in UNREAD
+
+
+def is_integer_label(path, doc) -> bool:
+    """Whether the value at path is a whole vertex label that is a JSON integer, which is still a valid label."""
+    return path[:2] == ("graph", "vertices") and len(path) == 3 and type(doc["graph"]["vertices"][path[2]]) is int
 
 
 def retyped_documents():
@@ -167,15 +172,15 @@ def test_retyped_or_deleted_fields_are_usage_errors_unless_unread(capsys, tmp_pa
     for where, doc in retyped_documents():
         path.write_text(json.dumps(doc))
         code, out, err, _ = run_main(capsys, ["verify", path])
-        if is_read(where):
+        if is_read(where) and not is_integer_label(where, doc):
             assert (code, out) == (2, ""), (where, doc)
             assert len(err) == 1 and err[0].startswith("error: "), (where, err)
             assert not [name for name in EXCEPTION_NAMES if name in err[0]], (where, err)
         else:
             assert code in (0, 1), (where, code, err)
-            unread.add(where[0] if where[0] in UNREAD else "vertex label")
+            unread.add(where[0] if where[0] in UNREAD else "integer vertex label")
     # every exemption above is reached by the sweep
-    assert unread == {*UNREAD, "vertex label"}
+    assert unread == {*UNREAD, "integer vertex label"}
 
 
 # One character or key per vertex, so that iterating the value would give a graph that loads.
@@ -190,6 +195,17 @@ def test_graph_vertices_of_another_json_type_are_usage_errors(capsys, tmp_path, 
     for argv, doc in (["chi", "--input", path], graph), (["verify", path], {**coloring, "graph": graph}):
         path.write_text(json.dumps(doc))
         assert assert_clean_exit(capsys, argv) == 2, argv
+
+
+def test_repeated_vertex_labels_are_usage_errors(capsys, tmp_path):
+    coloring = valid_documents()[2]
+    vertices = coloring["graph"]["vertices"]
+    path = tmp_path / "doc.json"
+    for labels in [vertices[0], vertices[0], *vertices[2:]], [0, *range(len(vertices) - 1)]:
+        graph = {**coloring["graph"], "vertices": labels}
+        for argv, doc in (["chi", "--input", path], graph), (["verify", path], {**coloring, "graph": graph}):
+            path.write_text(json.dumps(doc))
+            assert assert_clean_exit(capsys, argv) == 2, argv
 
 
 # A value of each other JSON type, put where the edge list or one of its pairs belongs.

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import canonical_patterns
 from test_golden import dense_pairs as golden_dense_pairs
 
 from otglab import (
@@ -268,10 +269,13 @@ def test_is_k_orderly_equal_pair_has_no_witness():
 
 
 def test_is_k_orderly_cap():
+    # no size cap: 60 merged values in 30 singleton classes of depth 1 need exactly 30 steps
     a = tuple(range(0, 60, 2))
     b = tuple(range(1, 61, 2))
-    with pytest.raises(ValueError, match="pair too large for exhaustive orderliness search"):
-        is_k_orderly(a, b, 2)
+    w = is_k_orderly(a, b, 30)
+    assert w is not None and shift_levels(a, b, w) == list(range(30))
+    assert is_k_orderly(a, b, 29) is None
+    assert is_k_orderly(a, b, 2) is None
 
 
 def test_exhaustive_allows_empty_blocks():
@@ -511,13 +515,32 @@ def test_canonical_matches_exhaustive_min_k(data):
     if not valid(a, b) or len(a) > 4:
         return
     classes = convex_closure(a, b)
-    if len(classes) != 1 or classes[0].sign != "plus":
+    if any(cls.sign != "plus" for cls in classes):
         return
-    depth = analyze_class(a, b, classes[0]).depth
+    depth = sum(analyze_class(a, b, cls).depth for cls in classes)
     assert exhaustive_min_k(a, b, 8) == depth
     assert is_k_orderly(a, b, depth) is not None
     if depth > 1:
         assert is_k_orderly(a, b, depth - 1) is None
+
+
+def test_joined_ladders_are_minimal_on_every_plus_shape():
+    # every shape of length <= 6 with a_i < b_i throughout, most of them with several classes
+    shapes = multi = 0
+    for a, b in canonical_patterns(6):
+        if not all(x < y for x, y in zip(a, b)):
+            continue
+        classes = convex_closure(a, b)
+        depth = sum(analyze_class(a, b, cls).depth for cls in classes)
+        assert exhaustive_min_k(a, b, depth) == depth, (a, b)
+        if depth > 1:
+            assert is_k_orderly(a, b, depth - 1) is None, (a, b)
+        for k in (depth, depth + 1, depth + 2):
+            w = is_k_orderly(a, b, k)
+            assert w is not None and len(w) == k + 1 and shift_levels(a, b, w) is not None, (a, b, k)
+        shapes += 1
+        multi += len(classes) > 1
+    assert (shapes, multi) == (1160, 645)
 
 
 def dense_pairs(count, seed):

@@ -392,6 +392,30 @@ def test_graph_from_json_takes_only_an_array_of_vertices(vertices):
         assert str(info.value) == f"graph vertices must be a JSON array, got {vertices!r}"
 
 
+@pytest.mark.parametrize("label", [True, 1.5, "s", None, {}, [0, True], [0, 1.0], [0, [1]], [[0]]])
+def test_graph_from_json_takes_only_integer_labels_or_arrays_of_them(label):
+    for doc in ({"vertices": [0, label], "edges": []}, {"vertices": [[0, 1], label], "arcs": []}):
+        with pytest.raises(ValueError) as info:
+            graph_from_json(doc)
+        assert str(info.value) == f"each vertex label must be a JSON integer or a JSON array of them, got {label!r}"
+
+
+@pytest.mark.parametrize("vertices, label", [([1, 1, 2], 1), ([[0, 1], [0, 2], [0, 1]], [0, 1]), ([[], 3, []], [])])
+def test_graph_from_json_refuses_a_repeated_label(vertices, label):
+    # read, [1, 1, 2] would print edge (0, 1) as the self-loop "1" -- "1" in DOT
+    for key in ("edges", "arcs"):
+        with pytest.raises(ValueError) as info:
+            graph_from_json({"vertices": vertices, key: [[0, 1]]})
+        assert str(info.value) == f"vertex label {label!r} is listed twice"
+
+
+def test_labels_in_any_order_round_trip():
+    g = FiniteGraph([7, (2, 5), 3, (), (0,), -1], [(0, 5), (3, 1), (2, 4)])
+    d = FiniteDigraph([(1, 2), 0, (0, 3)], [(2, 0), (0, 1)])
+    for h in (g, d):
+        assert graph_from_json(json.loads(json.dumps(h.to_json()))) == h
+
+
 # Each retyped value is reported as itself, not by its first character, key or digit.
 RETYPED_PAIRS = ["ab", {"0": 1}, 5, None]
 

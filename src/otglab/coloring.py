@@ -48,16 +48,11 @@ def verify_coloring(g: FiniteGraph, c: Coloring) -> bool:
     return all(c.colors[i] != c.colors[j] for i, j in g.edges)
 
 
-def greedy_coloring(g: FiniteGraph, order: Sequence[int] | None = None) -> Coloring:
-    """First-fit coloring along the given vertex order (default: index order)."""
-    if order is None:
-        order = range(g.n)
-    order = list(order)
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order is not a permutation of the vertices")
+def greedy_coloring(g: FiniteGraph) -> Coloring:
+    """First-fit coloring in index order."""
     colors = [-1] * g.n
-    for v in order:
-        taken = {colors[w] for w in g.neighbors(v) if colors[w] >= 0}
+    for v in range(g.n):
+        taken = {colors[w] for w in g.neighbors(v)}
         c = 0
         while c in taken:
             c += 1
@@ -360,8 +355,12 @@ def _witness(by_rank: list[int], rank: list[int], palette: int) -> Coloring:
 def sum_coloring(g: FiniteGraph, pieces: Sequence[tuple[Sequence[int], Coloring]]) -> Coloring:
     """Combine per-piece colorings of a vertex partition with disjoint palettes.
 
-    The result is proper whenever each piece coloring is proper on its induced
-    subgraph, with palette = sum of the piece palettes.
+    Each piece's colors are shifted past the palettes of the pieces before it,
+    and Coloring keeps them below the piece's own palette, so the palettes are
+    disjoint and an edge between two pieces is never monochromatic. One
+    verify_coloring of the result therefore passes exactly when each piece
+    coloring is proper on its induced subgraph. The palette is the sum of the
+    piece palettes.
     """
     seen: set[int] = set()
     for subset, _ in pieces:
@@ -377,14 +376,13 @@ def sum_coloring(g: FiniteGraph, pieces: Sequence[tuple[Sequence[int], Coloring]
         subset = list(subset)
         if len(col.colors) != len(subset):
             raise ValueError("piece coloring length mismatch")
-        local = {v: col.colors[i] for i, v in enumerate(subset)}
-        for i, j in g.edges:
-            if i in local and j in local and local[i] == local[j]:
-                raise ValueError("piece coloring not proper on its induced subgraph")
-        for v, c in local.items():
+        for v, c in zip(subset, col.colors):
             colors[v] = offset + c
         offset += col.palette
-    return Coloring(tuple(colors), offset)
+    combined = Coloring(tuple(colors), offset)
+    if not verify_coloring(g, combined):
+        raise ValueError("piece coloring not proper on its induced subgraph")
+    return combined
 
 
 def product_coloring(
@@ -392,36 +390,31 @@ def product_coloring(
 ) -> Coloring:
     """Combine colorings of edge-subset relations into one for their union.
 
-    Each piece coloring must be proper for its own edge set; every g-edge must
-    be covered by some piece. Colors are digit tuples packed into a palette of
-    size = product of the piece palettes.
+    Each piece is read as a graph on g's vertices, which refuses self-loops
+    and out-of-range endpoints, and its coloring must pass verify_coloring
+    there; every g-edge must be covered by some piece. Colors are digit
+    tuples packed into a palette of size = product of the piece palettes.
     """
     n = g.n
-    norm_pieces = []
+    cols = []
     covered: set[tuple[int, int]] = set()
     for edge_set, col in edge_pieces:
-        edges = {(i, j) if i < j else (j, i) for i, j in edge_set}
-        piece = col.colors
-        if len(piece) != n:
+        if len(col.colors) != n:
             raise ValueError("piece coloring must color every vertex")
-        for i, j in edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad edge ({i},{j}) in piece")
-            if piece[i] == piece[j]:
-                raise ValueError("piece coloring not proper for its edge set")
-        covered |= edges
-        norm_pieces.append(col)
-    if not set(g.edges) <= covered:
+        piece = FiniteGraph(g.vertices, edge_set)
+        if not verify_coloring(piece, col):
+            raise ValueError("piece coloring not proper for its edge set")
+        covered.update(piece.edges)
+        cols.append(col)
+    if not covered.issuperset(g.edges):
         raise ValueError("edge pieces do not cover the graph")
-    palettes = [col.palette for col in norm_pieces]
-    palette = prod(palettes) if palettes else 1
     colors = []
     for v in range(n):
         value = 0
-        for col in norm_pieces:
+        for col in cols:
             value = value * col.palette + col.colors[v]
         colors.append(value)
-    return Coloring(tuple(colors), palette)
+    return Coloring(tuple(colors), prod(col.palette for col in cols))
 
 
 def pullback_coloring(f, h: FiniteGraph, g: FiniteGraph, c: Coloring) -> Coloring:
@@ -484,13 +477,13 @@ def pattern_union_chromatic(
         if p.length != j_len:
             raise ValueError("pattern length mismatch")
     graphs = [order_type_graph(p, theta) for p in patterns]
-    union = FiniteGraph(graphs[0].vertices, [e for gr in graphs for e in gr.edges])
     parts = []
     for gr in graphs:
         res = chromatic_number(gr, budget)
         parts.append(res)
         if not res.exact:
             return PatternUnionResult(None, None, tuple(parts))
+    union = FiniteGraph(graphs[0].vertices, [e for gr in graphs for e in gr.edges])
     combo = product_coloring(union, [(gr.edges, res.witness) for gr, res in zip(graphs, parts)])
     if not verify_coloring(union, combo):
         raise RuntimeError("product coloring failed verification on the union graph")

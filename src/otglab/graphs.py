@@ -17,9 +17,10 @@ def _label_json(label):
 def _json_vertices(labels) -> list:
     """The vertex labels of a graph document, list labels as tuples.
 
-    They must be a JSON array of distinct labels, each a JSON integer or a
-    JSON array of JSON integers. As in _json_pairs, one C-level pass makes
-    each check, and a loop runs only to name the first bad label.
+    They must be a JSON array of labels, each a JSON integer or a JSON array
+    of JSON integers; the graph constructor refuses a repeated label. As in
+    _json_pairs, one C-level pass makes the check, and a loop runs only to
+    name the first bad label.
     """
     vertices = [tuple(v) if isinstance(v, list) else v for v in json_array(labels, "graph vertices")]
     if not (
@@ -30,12 +31,6 @@ def _json_vertices(labels) -> list:
             if not (type(v) is int or type(v) is tuple and all(type(x) is int for x in v)):
                 label = _label_json(v)
                 raise ValueError(f"each vertex label must be a JSON integer or a JSON array of them, got {label!r}")
-    if len(set(vertices)) != len(vertices):
-        seen = set()
-        for v in vertices:
-            if v in seen:
-                raise ValueError(f"vertex label {_label_json(v)!r} is listed twice")
-            seen.add(v)
     return vertices
 
 
@@ -62,7 +57,7 @@ def _label_dot(label) -> str:
 
 
 class _Graph:
-    """What FiniteGraph and FiniteDigraph share: an ordered vertex list and a checked, sorted list of index pairs.
+    """What FiniteGraph and FiniteDigraph share: distinct vertex labels in order and a checked, sorted list of index pairs.
 
     A subclass names its pairs (_pair: "edge" or "arc"; the JSON key is that
     word plus "s"), its refused self-pair, its DOT keyword (which also names
@@ -73,6 +68,13 @@ class _Graph:
     def __init__(self, vertices: Sequence, pairs: Iterable[tuple[int, int]]):
         self.vertices = list(vertices)
         n = len(self.vertices)
+        # One C-level pass accepts distinct labels; the loop runs only to name the first repeat.
+        if len(set(self.vertices)) != n:
+            seen = set()
+            for v in self.vertices:
+                if v in seen:
+                    raise ValueError(f"vertex label {_label_json(v)!r} is listed twice")
+                seen.add(v)
         norm = []
         for i, j in pairs:
             if i == j:

@@ -444,6 +444,81 @@ def test_product_coloring_requires_cover():
         product_coloring(g, [([(0, 1)], Coloring((0, 1, 0), 2))])
 
 
+@pytest.mark.parametrize(
+    "edges, colors, message",
+    [
+        ([(1, 1)], (0, 1, 0), "self-loop at vertex 1"),
+        ([(0, 5)], (0, 1, 0), "edge (0,5) out of range"),
+        ([(0, 1), (1, 2)], (0, 1), "piece coloring must color every vertex"),
+        ([(0, 1), (1, 2), (0, 2)], (0, 1, 0), "piece coloring not proper for its edge set"),
+    ],
+)
+def test_product_coloring_refuses_a_bad_piece(edges, colors, message):
+    g = FiniteGraph([0, 1, 2], [(0, 1), (1, 2)])
+    with pytest.raises(ValueError) as info:
+        product_coloring(g, [(edges, Coloring(colors, 2))])
+    assert str(info.value) == message
+
+
+def _random_piece_coloring(rnd, size):
+    """Distinct colors (proper on any edge set) half the time, else colors drawn at random."""
+    if rnd.random() < 0.5:
+        palette = rnd.randint(size, size + 2)
+        return Coloring(tuple(rnd.sample(range(palette), size)), palette)
+    palette = rnd.randint(1, max(size, 1))
+    return Coloring(tuple(rnd.randrange(palette) for _ in range(size)), palette)
+
+
+def test_sum_and_product_coloring_refuse_exactly_the_faulty_pieces():
+    # each combination checks properness once, on its result; this holds it to a check per piece
+    import random
+    from math import prod
+
+    rnd = random.Random(22)
+    outcomes = {"sum": set(), "product": set()}
+    for _ in range(400):
+        g = random_graph(rnd, 1, 8)
+        n = g.n
+
+        order = rnd.sample(range(n), n)
+        cuts = sorted(rnd.sample(range(1, n), rnd.randint(0, n - 1)))
+        subsets = [order[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+        pieces = [(s, _random_piece_coloring(rnd, len(s))) for s in subsets]
+        proper = all(
+            col.colors[s.index(i)] != col.colors[s.index(j)]
+            for s, col in pieces
+            for i, j in g.edges
+            if i in s and j in s
+        )
+        outcomes["sum"].add(proper)
+        if proper:
+            c = sum_coloring(g, pieces)
+            assert verify_coloring(g, c) and c.palette == sum(col.palette for _, col in pieces)
+        else:
+            with pytest.raises(ValueError, match="^piece coloring not proper on its induced subgraph$"):
+                sum_coloring(g, pieces)
+
+        edge_sets = [[] for _ in range(rnd.randint(1, 3))]
+        for e in g.edges:
+            if rnd.random() < 0.95:  # else no piece covers e
+                edge_sets[rnd.randrange(len(edge_sets))].append(e[::-1] if rnd.random() < 0.5 else e)
+        if n > 1 and rnd.random() < 0.3:  # a piece may carry a pair that is no edge of g
+            edge_sets[0].append(tuple(rnd.sample(range(n), 2)))
+        parts = [(es, _random_piece_coloring(rnd, n)) for es in edge_sets]
+        proper = all(col.colors[i] != col.colors[j] for es, col in parts for i, j in es)
+        covers = {frozenset(e) for es in edge_sets for e in es} >= set(map(frozenset, g.edges))
+        outcomes["product"].add((proper, covers))
+        if proper and covers:
+            c = product_coloring(g, parts)
+            assert verify_coloring(g, c) and c.palette == prod(col.palette for _, col in parts)
+        else:
+            with pytest.raises(ValueError) as info:
+                product_coloring(g, parts)
+            fault = "piece coloring not proper for its edge set" if not proper else "edge pieces do not cover the graph"
+            assert str(info.value) == fault
+    assert outcomes == {"sum": {True, False}, "product": {(True, True), (True, False), (False, True), (False, False)}}
+
+
 def test_pullback_coloring():
     g = shift_graph(2, 5)
     h = shift_graph(2, 4)

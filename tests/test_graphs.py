@@ -409,6 +409,19 @@ def test_graph_from_json_refuses_a_repeated_label(vertices, label):
         assert str(info.value) == f"vertex label {label!r} is listed twice"
 
 
+@pytest.mark.parametrize(
+    "make, vertices, pairs, label",
+    [(FiniteGraph, [1, 1, 2], [(0, 1)], 1), (FiniteDigraph, [(0, 1), (0, 1)], [], [0, 1])],
+)
+def test_constructor_refuses_a_repeated_label(make, vertices, pairs, label):
+    # the reader's rule, so that no graph writes a document its own reader refuses
+    with pytest.raises(ValueError) as info:
+        make(vertices, pairs)
+    assert str(info.value) == f"vertex label {label!r} is listed twice"
+    with pytest.raises(TypeError):
+        make([[0], [1]], [])  # labels must be hashable
+
+
 def test_labels_in_any_order_round_trip():
     g = FiniteGraph([7, (2, 5), 3, (), (0,), -1], [(0, 5), (3, 1), (2, 4)])
     d = FiniteDigraph([(1, 2), 0, (0, 3)], [(2, 0), (0, 1)])

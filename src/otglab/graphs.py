@@ -35,18 +35,17 @@ def _json_vertices(labels) -> list:
 
 
 def _json_pairs(pairs, what: str) -> list:
-    """The pairs of a graph document, provided they are a JSON array of two-entry arrays of JSON integers.
+    """The pairs of a graph document, provided they are a JSON array of two-entry arrays.
 
-    One C-level pass each checks the entries' types, their lengths and the
-    endpoints' types; a loop runs only to name the first bad entry.
+    One C-level pass each checks the entries' types and their lengths; a loop
+    runs only to name the first bad entry. The graph constructor checks that
+    the endpoints are integers.
     """
     json_array(pairs, f"graph {what}s")
     if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
         for p in pairs:
             if not isinstance(p, (list, tuple)) or len(p) != 2:
                 raise ValueError(f"each {what} must be a JSON array of two endpoints, got {p!r}")
-    if not set(map(type, chain.from_iterable(pairs))) <= {int}:
-        json_ints(tuple(chain.from_iterable(pairs)), f"{what} endpoints")
     return pairs
 
 
@@ -75,6 +74,10 @@ class _Graph:
                 if v in seen:
                     raise ValueError(f"vertex label {_label_json(v)!r} is listed twice")
                 seen.add(v)
+        pairs = list(pairs)
+        # Likewise one C-level pass accepts integer endpoints; json_ints runs only to name the first other one.
+        if not set(map(type, chain.from_iterable(pairs))) <= {int}:
+            json_ints(tuple(chain.from_iterable(pairs)), self._pair + " endpoints")
         norm = []
         for i, j in pairs:
             if i == j:

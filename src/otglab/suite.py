@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 from itertools import repeat
 from operator import index
+from threading import Lock
 from typing import Iterable, Sequence
 
 from .coloring import (
@@ -368,6 +370,51 @@ class SuiteReport(_Record):
         return "\n".join(lines)
 
 
+# The process pool kept between run_suite calls: "pool" holds its worker count,
+# the executor and the finalizer that shuts it down; "lock" guards "pool" across
+# threads. A forked child clears both before it runs anything, so it never
+# touches its parent's pool and starts its own on its first pooled call. The
+# fork hook is the dict's own clear method, so it keeps no module alive.
+_kept: dict = {}
+os.register_at_fork(after_in_child=_kept.clear)
+
+
+def _run_pooled(seeds: list[int], caps: SuiteCaps, selected: tuple[str, ...], workers: int) -> list[dict]:
+    """run_case over the seeds on the kept pool of `workers` processes, in seed order.
+
+    The pool starts on first use and is replaced when the worker count
+    changes. A broken pool (a worker died, even while idle) is discarded and
+    the batch runs once more on a fresh one. The finalizer shuts the pool
+    down and waits for its workers: at interpreter exit, while modules are
+    still intact; at the end of a multiprocessing child, which would
+    otherwise wait for the workers forever; and once this function is
+    garbage-collected, as when otglab is imported afresh.
+    """
+    # Imported here, so that `import otglab` does not load concurrent.futures.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.util import Finalize
+
+    # about four chunks per worker: a chunk costs one queue round trip, and
+    # smaller ones even out the workers' loads
+    chunk = -(-len(seeds) // (4 * workers))
+    with _kept.setdefault("lock", Lock()):
+        for retry in (False, True):
+            kept = _kept.get("pool")
+            if kept is None or kept[0] != workers:
+                if kept is not None:
+                    _kept.pop("pool")[2]()  # shuts the old pool down and waits for its workers
+                pool = ProcessPoolExecutor(workers)
+                # priority 15 runs it before the pool's call queue closes its own feeder (10)
+                kept = _kept["pool"] = (workers, pool, Finalize(_run_pooled, pool.shutdown, exitpriority=15))
+            try:
+                return list(kept[1].map(run_case, seeds, repeat(caps), repeat(selected), chunksize=chunk))
+            except BrokenProcessPool:
+                _kept.pop("pool")[2]()
+                if retry:
+                    raise
+
+
 def run_suite(
     seed: int,
     count: int,
@@ -377,12 +424,21 @@ def run_suite(
 ) -> SuiteReport:
     """Run count seeded cases; identical arguments give identical reports.
 
-    With workers > 1 the cases run in that many processes. Cases use
-    independent derived seeds and are aggregated in index order, so the worker
-    count never changes the outcome.
-    The pool uses the platform's default start method; under spawn or
-    forkserver (macOS, Windows, Linux from Python 3.14) a calling script needs
-    an `if __name__ == "__main__":` guard, and 100 cases ran slower than serial.
+    With workers > 1 the cases run in a pool of that many processes, never
+    more than there are cases. Cases use independent derived seeds and are
+    aggregated in index order, so the worker count never changes the outcome.
+
+    The pool is kept between calls. The first pooled call starts it, later
+    calls with the same worker count reuse it, and a call with another count
+    shuts it down, waits for its workers and starts a new one. A pool whose
+    worker died is replaced. A forked child starts its own pool, and each
+    pool is shut down at interpreter exit. The pool uses the platform's
+    default start method. Under fork, workers see the modules as they were
+    when the pool started, so a later monkeypatch does not reach them. Under
+    spawn or forkserver (macOS, Windows, Linux from Python 3.14) each worker
+    imports otglab again, a calling script needs an
+    `if __name__ == "__main__":` guard, and only the first pooled call pays
+    for the workers' start.
     """
     if count < 0:
         raise ValueError("need count >= 0")
@@ -397,13 +453,7 @@ def run_suite(
     if workers <= 1:
         outcomes = [run_case(case_seed(seed, i), caps, selected) for i in range(count)]
     else:
-        # Imported here, so that `import otglab` does not load concurrent.futures.
-        from concurrent.futures import ProcessPoolExecutor
-
-        seeds = [case_seed(seed, i) for i in range(count)]
-        chunk = -(-count // workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_case, seeds, repeat(caps), repeat(selected), chunksize=chunk))
+        outcomes = _run_pooled([case_seed(seed, i) for i in range(count)], caps, selected, workers)
 
     tallies = {k: {"pass": 0, "fail": 0, "skip": 0} for k in selected}
     failures = []

@@ -422,6 +422,16 @@ def test_constructor_refuses_a_repeated_label(make, vertices, pairs, label):
         make([[0], [1]], [])  # labels must be hashable
 
 
+@pytest.mark.parametrize("make, what", [(FiniteGraph, "edge"), (FiniteDigraph, "arc")])
+@pytest.mark.parametrize("endpoint", [1.5, True, 1.0])
+def test_constructor_takes_only_integer_endpoints(make, what, endpoint):
+    # the reader's rule and text, so that no graph writes a document its own reader refuses
+    for pairs in ([(0, endpoint)], [(0, 1), (endpoint, 2)], iter([(2, 0), (endpoint, 0)])):
+        with pytest.raises(ValueError) as info:
+            make([0, 1, 2], pairs)
+        assert str(info.value) == f"{what} endpoints must be JSON integers, got {endpoint!r}"
+
+
 def test_labels_in_any_order_round_trip():
     g = FiniteGraph([7, (2, 5), 3, (), (0,), -1], [(0, 5), (3, 1), (2, 4)])
     d = FiniteDigraph([(1, 2), 0, (0, 3)], [(2, 0), (0, 1)])

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -208,3 +213,95 @@ def test_import_leaves_concurrent_futures_unloaded():
     code = "import sys, otglab; print('concurrent.futures' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def _worker_pids() -> list[int]:
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_pooled_calls_share_one_pool():
+    run_suite(3, 20, workers=2)
+    first = _worker_pids()
+    assert len(first) == 2
+    assert run_suite(4, 30, workers=2).to_json() == run_suite(4, 30).to_json()
+    assert _worker_pids() == first
+
+
+def test_another_worker_count_replaces_the_pool(monkeypatch):
+    run_suite(3, 20, workers=2)
+    old = _worker_pids()
+    alive_at_start = []
+
+    def recording_pool(*args, real=concurrent.futures.ProcessPoolExecutor):
+        alive_at_start.append(_worker_pids())
+        return real(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    assert run_suite(4, 30, workers=3).to_json() == run_suite(4, 30).to_json()
+    assert alive_at_start == [[]]  # the old workers were waited for before the new pool started
+    new = _worker_pids()
+    assert len(new) == 3 and not set(old) & set(new)
+    for pid in old:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_a_killed_idle_worker_does_not_fail_the_next_call():
+    run_suite(3, 20, workers=2)
+    os.kill(_worker_pids()[0], signal.SIGKILL)
+    assert run_suite(5, 30, workers=2).to_json() == run_suite(5, 30).to_json()
+    assert len(_worker_pids()) == 2
+
+
+def test_a_pooled_script_exits_cleanly():
+    code = "import sys; from otglab.suite import run_suite; sys.exit(not run_suite(1, 20, workers=2).ok)"
+    # a worker that outlived the child would hold its pipes open past the timeout
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert res.returncode == 0
+    assert res.stderr == b""
+
+
+def _report_from_child(queue, seed: int) -> None:
+    queue.put(run_suite(seed, 20, workers=2).to_json())
+
+
+def test_a_forked_child_runs_its_own_pool():
+    run_suite(3, 20, workers=2)  # the parent now keeps a pool
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_report_from_child, args=(queue, 9))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == run_suite(9, 20).to_json()
+        child.join(30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+def test_threads_with_different_worker_counts_both_get_the_serial_report():
+    want = {seed: run_suite(seed, 6).to_json() for seed in (2, 3)}
+    got = []
+    start = threading.Barrier(2)
+
+    def call(seed, workers):
+        start.wait()
+        for _ in range(5):
+            got.append(run_suite(seed, 6, workers=workers).to_json() == want[seed])
+
+    # switch threads often, so that unguarded calls would interleave inside run_suite
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(2, 2)), threading.Thread(target=call, args=(3, 3))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [True] * 10
+    assert len(_worker_pids()) in (2, 3)  # one pool is kept, none is left behind

@@ -378,27 +378,40 @@ class SuiteReport(_Record):
 _kept: dict = {}
 os.register_at_fork(after_in_child=_kept.clear)
 
+# The fewest cases for which run_suite starts a pool. Importing
+# concurrent.futures.process and forking two workers costs about as much as
+# 35-50 cases run in the calling process (Python 3.11.7, 2 cores), while a
+# kept pool beats the calling process at any batch size, so a kept pool of the
+# call's size serves any batch.
+POOL_MIN_CASES = 50
 
-def _run_pooled(seeds: list[int], caps: SuiteCaps, selected: tuple[str, ...], workers: int) -> list[dict]:
+
+def _run_pooled(seeds: list[int], caps: SuiteCaps, selected: tuple[str, ...], workers: int) -> list[dict] | None:
     """run_case over the seeds on the kept pool of `workers` processes, in seed order.
 
-    The pool starts on first use and is replaced when the worker count
-    changes. A broken pool (a worker died, even while idle) is discarded and
-    the batch runs once more on a fresh one. The finalizer shuts the pool
-    down and waits for its workers: at interpreter exit, while modules are
-    still intact; at the end of a multiprocessing child, which would
-    otherwise wait for the workers forever; and once this function is
-    garbage-collected, as when otglab is imported afresh.
+    Returns None, having imported, started and stopped nothing, when no pool
+    of `workers` processes is kept and the batch has fewer than
+    POOL_MIN_CASES seeds: the caller then runs it in its own process.
+    Otherwise the pool starts on first use and is replaced when the worker
+    count changes. A broken pool (a worker died, even while idle) is
+    discarded and the batch runs once more on a fresh one. The finalizer
+    shuts the pool down and waits for its workers: at interpreter exit,
+    while modules are still intact; at the end of a multiprocessing child,
+    which would otherwise wait for the workers forever; and once this
+    function is garbage-collected, as when otglab is imported afresh.
     """
-    # Imported here, so that `import otglab` does not load concurrent.futures.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing.util import Finalize
-
-    # about four chunks per worker: a chunk costs one queue round trip, and
-    # smaller ones even out the workers' loads
-    chunk = -(-len(seeds) // (4 * workers))
     with _kept.setdefault("lock", Lock()):
+        kept = _kept.get("pool")
+        if (kept is None or kept[0] != workers) and len(seeds) < POOL_MIN_CASES:
+            return None
+        # Imported here, so that `import otglab` does not load concurrent.futures.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing.util import Finalize
+
+        # about four chunks per worker: a chunk costs one queue round trip, and
+        # smaller ones even out the workers' loads
+        chunk = -(-len(seeds) // (4 * workers))
         for retry in (False, True):
             kept = _kept.get("pool")
             if kept is None or kept[0] != workers:
@@ -424,15 +437,21 @@ def run_suite(
 ) -> SuiteReport:
     """Run count seeded cases; identical arguments give identical reports.
 
-    With workers > 1 the cases run in a pool of that many processes, never
-    more than there are cases. Cases use independent derived seeds and are
-    aggregated in index order, so the worker count never changes the outcome.
+    workers is an upper bound: with workers > 1 the cases may run in a pool
+    of min(workers, count) processes. Cases use independent derived seeds
+    and are aggregated in index order, so the worker count never changes the
+    outcome.
 
-    The pool is kept between calls. The first pooled call starts it, later
-    calls with the same worker count reuse it, and a call with another count
-    shuts it down, waits for its workers and starts a new one. A pool whose
-    worker died is replaced. A forked child starts its own pool, and each
-    pool is shut down at interpreter exit. The pool uses the platform's
+    The pool is kept between calls, and a kept pool of that size serves a
+    batch of any size. Without one, a batch of at least POOL_MIN_CASES cases
+    starts the pool, shutting down a kept pool of another size and waiting
+    for its workers first; a smaller batch runs in the calling process,
+    without loading concurrent.futures, and leaves a kept pool of another
+    size alone. A pool whose worker died is replaced. A forked child starts its
+    own pool, and each pool is shut down at interpreter exit; a child made by
+    a direct os.fork() after a pooled call should end with os._exit, since a
+    normal exit prints "AssertionError: can only join a child process" as it
+    tries to join its parent's workers. The pool uses the platform's
     default start method. Under fork, workers see the modules as they were
     when the pool started, so a later monkeypatch does not reach them. Under
     spawn or forkserver (macOS, Windows, Linux from Python 3.14) each worker
@@ -449,11 +468,11 @@ def run_suite(
     if not selected:
         raise ValueError("no checks selected")
 
+    seeds = [case_seed(seed, i) for i in range(count)]
     workers = min(workers, count)  # no more processes than cases
-    if workers <= 1:
-        outcomes = [run_case(case_seed(seed, i), caps, selected) for i in range(count)]
-    else:
-        outcomes = _run_pooled([case_seed(seed, i) for i in range(count)], caps, selected, workers)
+    outcomes = _run_pooled(seeds, caps, selected, workers) if workers > 1 else None
+    if outcomes is None:
+        outcomes = [run_case(s, caps, selected) for s in seeds]
 
     tallies = {k: {"pass": 0, "fail": 0, "skip": 0} for k in selected}
     failures = []

@@ -203,6 +203,15 @@ def test_suite_byte_determinism():
     assert aj.stdout == bj.stdout
 
 
+def test_suite_pooled_byte_determinism():
+    # 100 cases start a pool of two workers; the determinism test above runs serially
+    for fmt in ("table", "json"):
+        one = run_cli("suite", "--seed", "5", "--count", "100", "--format", fmt)
+        two = run_cli("suite", "--seed", "5", "--count", "100", "--format", fmt, "--workers", "2")
+        assert one.returncode == two.returncode == 0
+        assert one.stdout == two.stdout and two.stderr == ""
+
+
 def test_suite_sweep():
     res = run_cli("suite", "--seed", "7", "--count", "20", "--sweep")
     assert res.returncode == 0

@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--count", type=int, default=100)
     suite.add_argument(
-        "--workers", type=int, default=1, help="at most this many processes; a pool starts only for --count >= 50"
+        "--workers", type=int, default=1, help="at most this many processes; a pool starts only for --count >= 100"
     )
     suite.add_argument("--only", type=_checks_arg, help="comma-separated check names")
     suite.add_argument("--sweep", action="store_true", help="embedding sweep instead of checks")

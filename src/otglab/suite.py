@@ -378,40 +378,36 @@ class SuiteReport(_Record):
 _kept: dict = {}
 os.register_at_fork(after_in_child=_kept.clear)
 
-# The fewest cases for which run_suite starts a pool. Importing
-# concurrent.futures.process and forking two workers costs about as much as
-# 35-50 cases run in the calling process (Python 3.11.7, 2 cores), while a
-# kept pool beats the calling process at any batch size, so a kept pool of the
-# call's size serves any batch.
-POOL_MIN_CASES = 50
+# The fewest cases for which run_suite starts a pool, set for callers that
+# reuse it. On 2 workers (Python 3.11.7, 2 cores, medians) a warm pool ran
+# 50-case batches no faster than the calling process (about 50 ms each), while
+# 100-case batches took about 60 ms against 100, and the first one, the pool's
+# start included, already took no longer than in the calling process. A
+# one-shot process gains only from about 200 cases: `otg suite --count 100
+# --workers 2` takes about 210 ms against 175 ms with --workers 1.
+POOL_MIN_CASES = 100
 
 
-def _run_pooled(seeds: list[int], caps: SuiteCaps, selected: tuple[str, ...], workers: int) -> list[dict] | None:
+def _run_pooled(seeds: list[int], caps: SuiteCaps, selected: tuple[str, ...], workers: int) -> list[dict]:
     """run_case over the seeds on the kept pool of `workers` processes, in seed order.
 
-    Returns None, having imported, started and stopped nothing, when no pool
-    of `workers` processes is kept and the batch has fewer than
-    POOL_MIN_CASES seeds: the caller then runs it in its own process.
-    Otherwise the pool starts on first use and is replaced when the worker
-    count changes. A broken pool (a worker died, even while idle) is
-    discarded and the batch runs once more on a fresh one. The finalizer
-    shuts the pool down and waits for its workers: at interpreter exit,
-    while modules are still intact; at the end of a multiprocessing child,
-    which would otherwise wait for the workers forever; and once this
-    function is garbage-collected, as when otglab is imported afresh.
+    The pool starts on first use and is replaced when the worker count
+    changes. A broken pool (a worker died, even while idle) is discarded and
+    the batch runs once more on a fresh one. The finalizer shuts the pool
+    down and waits for its workers: at interpreter exit, while modules are
+    still intact; at the end of a multiprocessing child, which would
+    otherwise wait for the workers forever; and once this function is
+    garbage-collected, as when otglab is imported afresh.
     """
-    with _kept.setdefault("lock", Lock()):
-        kept = _kept.get("pool")
-        if (kept is None or kept[0] != workers) and len(seeds) < POOL_MIN_CASES:
-            return None
-        # Imported here, so that `import otglab` does not load concurrent.futures.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        from multiprocessing.util import Finalize
+    # Imported here, so that `import otglab` does not load concurrent.futures.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.util import Finalize
 
-        # about four chunks per worker: a chunk costs one queue round trip, and
-        # smaller ones even out the workers' loads
-        chunk = -(-len(seeds) // (4 * workers))
+    # about four chunks per worker: a chunk costs one queue round trip, and
+    # smaller ones even out the workers' loads
+    chunk = -(-len(seeds) // (4 * workers))
+    with _kept.setdefault("lock", Lock()):
         for retry in (False, True):
             kept = _kept.get("pool")
             if kept is None or kept[0] != workers:
@@ -442,22 +438,22 @@ def run_suite(
     and are aggregated in index order, so the worker count never changes the
     outcome.
 
-    The pool is kept between calls, and a kept pool of that size serves a
-    batch of any size. Without one, a batch of at least POOL_MIN_CASES cases
-    starts the pool, shutting down a kept pool of another size and waiting
-    for its workers first; a smaller batch runs in the calling process,
-    without loading concurrent.futures, and leaves a kept pool of another
-    size alone. A pool whose worker died is replaced. A forked child starts its
-    own pool, and each pool is shut down at interpreter exit; a child made by
-    a direct os.fork() after a pooled call should end with os._exit, since a
-    normal exit prints "AssertionError: can only join a child process" as it
-    tries to join its parent's workers. The pool uses the platform's
-    default start method. Under fork, workers see the modules as they were
-    when the pool started, so a later monkeypatch does not reach them. Under
-    spawn or forkserver (macOS, Windows, Linux from Python 3.14) each worker
-    imports otglab again, a calling script needs an
-    `if __name__ == "__main__":` guard, and only the first pooled call pays
-    for the workers' start.
+    Only a batch of at least POOL_MIN_CASES cases runs in the pool; a
+    smaller one runs in the calling process, without loading
+    concurrent.futures. The pool is kept between calls. The first pooled
+    call starts it, later pooled calls with the same worker count reuse it,
+    and one with another count shuts it down, waits for its workers and
+    starts a new one. A pool whose worker
+    died is replaced. A forked child starts its own pool, and each pool is
+    shut down at interpreter exit; a child made by a direct os.fork() after a
+    pooled call should end with os._exit, since a normal exit prints
+    "AssertionError: can only join a child process" as it tries to join its
+    parent's workers. The pool uses the platform's default start method.
+    Under fork, workers see the modules as they were when the pool started,
+    so a later monkeypatch does not reach them. Under spawn or forkserver
+    (macOS, Windows, Linux from Python 3.14) each worker imports otglab
+    again, a calling script needs an `if __name__ == "__main__":` guard, and
+    only the first pooled call pays for the workers' start.
     """
     if count < 0:
         raise ValueError("need count >= 0")
@@ -468,11 +464,11 @@ def run_suite(
     if not selected:
         raise ValueError("no checks selected")
 
-    seeds = [case_seed(seed, i) for i in range(count)]
     workers = min(workers, count)  # no more processes than cases
-    outcomes = _run_pooled(seeds, caps, selected, workers) if workers > 1 else None
-    if outcomes is None:
-        outcomes = [run_case(s, caps, selected) for s in seeds]
+    if workers <= 1 or count < POOL_MIN_CASES:
+        outcomes = [run_case(case_seed(seed, i), caps, selected) for i in range(count)]
+    else:
+        outcomes = _run_pooled([case_seed(seed, i) for i in range(count)], caps, selected, workers)
 
     tallies = {k: {"pass": 0, "fail": 0, "skip": 0} for k in selected}
     failures = []

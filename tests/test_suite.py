@@ -64,8 +64,8 @@ def test_run_suite_subset():
 
 def test_worker_count_never_changes_the_report():
     for seed, count, workers, only, caps in (
-        (11, 60, 4, None, None),
-        (11, 60, 2, DECOMP_CHECKS, SuiteCaps(16, 64)),
+        (11, 100, 4, None, None),
+        (11, 100, 2, DECOMP_CHECKS, SuiteCaps(16, 64)),
     ):
         one = run_suite(seed, count, caps, workers=1, only=only)
         many = run_suite(seed, count, caps, workers=workers, only=only)
@@ -221,7 +221,7 @@ def _worker_pids() -> list[int]:
 
 
 # Every call below that must start or use a pool has at least POOL_MIN_CASES
-# cases; with fewer, and no kept pool of its size, a call runs serially.
+# cases; with fewer, a call runs serially.
 
 
 @pytest.fixture
@@ -246,15 +246,15 @@ def pool_maps(monkeypatch):
 
 
 def test_pooled_calls_share_one_pool():
-    run_suite(3, 50, workers=2)
+    run_suite(3, 100, workers=2)
     first = _worker_pids()
     assert len(first) == 2
-    assert run_suite(4, 50, workers=2).to_json() == run_suite(4, 50).to_json()
+    assert run_suite(4, 100, workers=2).to_json() == run_suite(4, 100).to_json()
     assert _worker_pids() == first
 
 
 def test_another_worker_count_replaces_the_pool(monkeypatch):
-    run_suite(3, 50, workers=2)
+    run_suite(3, 100, workers=2)
     old = _worker_pids()
     alive_at_start = []
 
@@ -263,7 +263,7 @@ def test_another_worker_count_replaces_the_pool(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-    assert run_suite(4, 50, workers=3).to_json() == run_suite(4, 50).to_json()
+    assert run_suite(4, 100, workers=3).to_json() == run_suite(4, 100).to_json()
     assert alive_at_start == [[]]  # the old workers were waited for before the new pool started
     new = _worker_pids()
     assert len(new) == 3 and not set(old) & set(new)
@@ -273,14 +273,14 @@ def test_another_worker_count_replaces_the_pool(monkeypatch):
 
 
 def test_a_killed_idle_worker_does_not_fail_the_next_call():
-    run_suite(3, 50, workers=2)
+    run_suite(3, 100, workers=2)
     os.kill(_worker_pids()[0], signal.SIGKILL)
-    assert run_suite(5, 50, workers=2).to_json() == run_suite(5, 50).to_json()
+    assert run_suite(5, 100, workers=2).to_json() == run_suite(5, 100).to_json()
     assert len(_worker_pids()) == 2
 
 
 def test_a_pooled_script_exits_cleanly():
-    code = "import sys; from otglab.suite import run_suite; sys.exit(not run_suite(1, 50, workers=2).ok)"
+    code = "import sys; from otglab.suite import run_suite; sys.exit(not run_suite(1, 100, workers=2).ok)"
     # a worker that outlived the child would hold its pipes open past the timeout
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
     assert res.returncode == 0
@@ -288,17 +288,17 @@ def test_a_pooled_script_exits_cleanly():
 
 
 def _report_from_child(queue, seed: int) -> None:
-    queue.put(run_suite(seed, 50, workers=2).to_json())
+    queue.put(run_suite(seed, 100, workers=2).to_json())
 
 
 def test_a_forked_child_runs_its_own_pool():
-    run_suite(3, 50, workers=2)  # the parent now keeps a pool
+    run_suite(3, 100, workers=2)  # the parent now keeps a pool
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_report_from_child, args=(queue, 9))
     child.start()
     try:
-        assert queue.get(timeout=30) == run_suite(9, 50).to_json()
+        assert queue.get(timeout=30) == run_suite(9, 100).to_json()
         child.join(30)
         assert child.exitcode == 0
     finally:
@@ -308,14 +308,14 @@ def test_a_forked_child_runs_its_own_pool():
 
 
 def test_threads_with_different_worker_counts_both_get_the_serial_report():
-    want = {seed: run_suite(seed, 50).to_json() for seed in (2, 3)}
+    want = {seed: run_suite(seed, 100).to_json() for seed in (2, 3)}
     got = []
     start = threading.Barrier(2)
 
     def call(seed, workers):
         start.wait()
         for _ in range(5):
-            got.append(run_suite(seed, 50, workers=workers).to_json() == want[seed])
+            got.append(run_suite(seed, 100, workers=workers).to_json() == want[seed])
 
     # switch threads often, so that unguarded calls would interleave inside run_suite
     interval = sys.getswitchinterval()
@@ -348,28 +348,9 @@ def test_a_small_suite_script_loads_no_process_pool():
     assert res.stdout.split() == ["True", "False"]
 
 
-def test_a_kept_pool_serves_a_small_batch(pool_maps):
-    run_suite(3, POOL_MIN_CASES, workers=2)
-    first = _worker_pids()
-    assert len(first) == 2
-    assert run_suite(4, 20, workers=2).to_json() == run_suite(4, 20).to_json()
-    assert pool_maps[-1] == 20
-    assert _worker_pids() == first
-
-
-def test_a_small_batch_leaves_a_kept_pool_of_another_size_alone(pool_maps):
-    run_suite(3, POOL_MIN_CASES, workers=2)
-    first = _worker_pids()
-    kept = otglab.suite._kept["pool"]
-    maps = len(pool_maps)
-    assert run_suite(4, 20, workers=3).to_json() == run_suite(4, 20).to_json()
-    assert len(pool_maps) == maps  # ran serially
-    assert otglab.suite._kept["pool"] is kept and _worker_pids() == first
-
-
-@pytest.mark.parametrize("count", [49, 50])
+@pytest.mark.parametrize("count", [99, 100])
 def test_the_pool_threshold(no_kept_pool, pool_maps, count):
-    assert POOL_MIN_CASES == 50  # the number the README and `otg suite --help` give
+    assert POOL_MIN_CASES == 100  # the number the README and `otg suite --help` give
     assert run_suite(8, count, workers=2).to_json() == run_suite(8, count).to_json()
     pooled = count >= POOL_MIN_CASES
     assert pool_maps == ([count] if pooled else [])

@@ -42,7 +42,9 @@ class Coloring(_Record):
 
 
 def verify_coloring(g: FiniteGraph, c: Coloring) -> bool:
-    """True iff c is total on g and no edge is monochromatic."""
+    """True iff c is total on g and no edge is monochromatic; a digraph raises ValueError."""
+    if not isinstance(g, FiniteGraph):
+        raise ValueError("colorings verify against undirected graphs")
     if len(c.colors) != g.n:
         return False
     return all(c.colors[i] != c.colors[j] for i, j in g.edges)
@@ -309,8 +311,11 @@ def chromatic_number(g: FiniteGraph, budget: int | None = None) -> ChiResult:
     coloring so far for the same color count, and its coloring counts only
     once verify_coloring accepts it. Otherwise the search resumes under the
     budget, so no node is searched twice. A pause past the budget gives an
-    inconclusive result with bounds and nodes = budget + 1.
+    inconclusive result with bounds and nodes = budget + 1. A digraph
+    raises ValueError.
     """
+    if not isinstance(g, FiniteGraph):
+        raise ValueError("chromatic number needs an undirected graph")
     n = g.n
     if n == 0:
         raise ValueError("chromatic number undefined for the empty graph")

@@ -220,52 +220,66 @@ def shift_levels(lo_t: Sequence[int], hi_t: Sequence[int], blocks: Sequence[Bloc
     return levels
 
 
+def _ladder_levels(lo_t: Sequence[int], hi_t: Sequence[int], k: int, blocks: Sequence[Block]) -> list[int] | None:
+    """Block level of each lo_t[i] when the blocks certify a k-step ladder, else None.
+
+    The one home of the certificate rule: k + 1 blocks, each starting where
+    the one before ends, only the last closed, and shift_levels accepts them.
+    """
+    if len(blocks) != k + 1 or any(blk.closed != (m == k) for m, blk in enumerate(blocks)):
+        return None
+    if any(below.hi != above.lo for below, above in zip(blocks, blocks[1:])):
+        return None
+    return shift_levels(lo_t, hi_t, blocks)
+
+
 def analyze_class(a: Sequence[int], b: Sequence[int], cls: ConvexClass) -> ClassAnalysis:
     """Compute the ladder indices, value blocks, and the witness chain of one class.
 
     For a minus class the roles of the tuples are swapped first, so the
     analysis is always of a plus-oriented pair and is reported in that
-    orientation.
+    orientation. One forward scan finds the hops (deltas): each is the first
+    index whose a reaches b at the hop before.
+
+    The blocks certify the ladder by construction. With delta_m the last hop
+    at or below index i, a[i] lies in block m, since no a before the next
+    hop reaches b[delta_m], and b[i] lies in block m + 1, since b increases.
+    Each chain link is picked among indices whose a is at most b at the link
+    before, so only the chain's spacing needs a check.
+
+    A zero class, an interval outside the pair or of the wrong sign, and an
+    interval that is no closure class whose hops are unlinked or whose chain
+    breaks raise DecompositionError.
     """
     _check_pair(a, b)
     if cls.sign == ZERO:
         raise DecompositionError("zero classes carry no ladder structure")
+    if not 0 <= cls.lo <= cls.hi < len(a):
+        raise DecompositionError(f"class [{cls.lo},{cls.hi}] is not an index interval of a pair of length {len(a)}")
     if cls.sign == MINUS:
         a, b = b, a
-    idx = list(cls.indices)
+    idx = cls.indices
     if any(not a[i] < b[i] for i in idx):
         raise DecompositionError("class sign does not match the tuple pair")
 
-    deltas = [idx[0]]
-    while True:
-        last = deltas[-1]
-        nxt = next((i for i in idx if i > last and b[last] <= a[i]), None)
-        if nxt is None:
-            break
-        deltas.append(nxt)
+    deltas = [cls.lo]
+    for i in idx[1:]:
+        if b[deltas[-1]] <= a[i]:
+            deltas.append(i)
     depth = len(deltas)
-
-    blocks = []
-    for m in range(depth):
-        if m == 0:
-            blocks.append(Block(a[deltas[0]], b[deltas[0]]))
-        else:
-            blocks.append(Block(b[deltas[m - 1]], b[deltas[m]]))
-    top = max(max(a[i] for i in idx), max(b[i] for i in idx))
-    blocks.append(Block(b[deltas[-1]], top, closed=True))
-
-    if shift_levels([a[i] for i in idx], [b[i] for i in idx], blocks) is None:
-        raise DecompositionError("class values do not climb exactly one block per index")
+    edges = [a[cls.lo]] + [b[d] for d in deltas]
+    blocks = [Block(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    blocks.append(Block(edges[-1], b[cls.hi], closed=True))
 
     gammas = []
     for m in range(depth - 1):
         if b[deltas[m]] == a[deltas[m + 1]]:
             gammas.append(deltas[m + 1])
-        else:
-            eps = next(
-                i for i in idx if deltas[m] < i < deltas[m + 1] and b[i] >= a[deltas[m + 1]]
-            )
-            gammas.append(eps)
+            continue
+        eps = next((i for i in range(deltas[m] + 1, deltas[m + 1]) if b[i] >= a[deltas[m + 1]]), None)
+        if eps is None:
+            raise DecompositionError(f"hops {deltas[m]} and {deltas[m + 1]} are not linked by an index between them")
+        gammas.append(eps)
 
     ladder = sorted(set(deltas) | set(gammas))
     zetas = [deltas[0]]
@@ -275,10 +289,6 @@ def analyze_class(a: Sequence[int], b: Sequence[int], cls: ConvexClass) -> Class
         if not cand:
             raise DecompositionError("witness chain broke before reaching full depth")
         zetas.append(max(cand))
-
-    for m in range(depth - 1):
-        if not a[zetas[m + 1]] <= b[zetas[m]]:
-            raise DecompositionError("witness chain overlap violated")
     for m in range(depth - 2):
         if not b[zetas[m]] < a[zetas[m + 2]]:
             raise DecompositionError("witness chain spacing violated")
@@ -450,8 +460,8 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
 
     Pieces must tile the index range in order; each piece's declared kind must
     hold (orderly blocks for A, swapped-orderly for B, coordinate equality for
-    equal); blocks must tile the piece's merged values with the one-step shift
-    condition; distinct pieces must be value-separated both ways; and w.k must
+    equal); the blocks of an A or B piece must certify its k-step ladder
+    (_ladder_levels); distinct pieces must be value-separated both ways; and w.k must
     be the (floored at 1) max piece depth.
 
     Since a and b increase and the pieces tile in order, all pairs of pieces
@@ -482,17 +492,9 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
             if p.lo != p.hi or a[p.lo] != b[p.lo] or p.k != 0 or p.blocks:
                 return False
             continue
-        if p.kind not in ("A", "B") or p.k < 1 or len(p.blocks) != p.k + 1:
+        if p.kind not in ("A", "B") or p.k < 1:
             return False
-        prev_hi = None
-        for m, blk in enumerate(p.blocks):
-            if prev_hi is not None and blk.lo != prev_hi:
-                return False
-            closed = m == p.k
-            if blk.closed != closed:
-                return False
-            prev_hi = blk.hi
-        if shift_levels(*plus_oriented(a, b, p.lo, p.hi, p.kind == "B"), p.blocks) is None:
+        if _ladder_levels(*plus_oriented(a, b, p.lo, p.hi, p.kind == "B"), p.k, p.blocks) is None:
             return False
 
     expected = max(max((p.k for p in w.pieces), default=0), 1)

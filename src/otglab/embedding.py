@@ -7,7 +7,7 @@ from math import comb, prod
 from operator import itemgetter, lt
 from typing import Callable, Sequence
 
-from .decompose import Block, CoverWitness, plus_oriented, shift_levels, verify_cover
+from .decompose import Block, CoverWitness, _ladder_levels, plus_oriented, verify_cover
 from .graphs import FiniteDigraph, FiniteGraph, lshift_digraph, shift_graph
 from .seqs import (
     IncreasingTuple,
@@ -54,17 +54,6 @@ class LevelMaps(_Record):
         _setattr(self, "digits", digits)
 
 
-def _check_orderly(a: Sequence[int], b: Sequence[int], k: int, blocks: Sequence[Block]) -> list[int]:
-    if len(a) != len(b) or not a:
-        raise EmbeddingError("need two nonempty tuples of equal length")
-    if len(blocks) != k + 1:
-        raise EmbeddingError(f"need {k + 1} blocks for a {k}-step ladder")
-    levels = shift_levels(a, b, blocks)
-    if levels is None:
-        raise EmbeddingError("blocks do not certify the ladder")
-    return levels
-
-
 def build_level_maps(
     a: Sequence[int], b: Sequence[int], k: int, blocks: Sequence[Block]
 ) -> LevelMaps:
@@ -75,9 +64,14 @@ def build_level_maps(
     sharing digits on exact contact and slotting below the predecessor
     otherwise. The result is checked: levels strictly increase below their
     fence, and comparisons across adjacent levels reproduce the comparisons of
-    the corresponding tuple values.
+    the corresponding tuple values. The blocks must certify the pair's
+    k-step ladder (decompose._ladder_levels).
     """
-    levels = _check_orderly(a, b, k, blocks)
+    if len(a) != len(b) or not a:
+        raise EmbeddingError("need two nonempty tuples of equal length")
+    levels = _ladder_levels(a, b, k, blocks)
+    if levels is None:
+        raise EmbeddingError(f"blocks do not certify a {k}-step ladder")
     top = 2 * len(a)
     sets = [[beta for beta in range(len(a)) if levels[beta] == lv] for lv in range(k)]
 

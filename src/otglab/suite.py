@@ -22,13 +22,13 @@ from .decompose import (
     ConvexClass,
     CoverWitness,
     _cover,
+    _ladder_levels,
     analyze_class,
     classes_separated,
     convex_closure,
     is_k_orderly,
     orderly_cover,
     plus_oriented,
-    shift_levels,
     sign_partition,
     verify_cover,
 )
@@ -158,11 +158,8 @@ def _check_class_separation(case: _Case, rng: SplitMix64) -> tuple[str, str]:
 
 def _check_block_shift(case: _Case, rng: SplitMix64) -> tuple[str, str]:
     for cls, lo_t, hi_t, analysis in case.ladders:
-        blocks = analysis.blocks
-        if shift_levels(lo_t, hi_t, blocks) is None:
-            return _fail(f"blocks of class {cls} do not certify the one-step shift")
-        if not blocks[-1].closed or any(blk.closed for blk in blocks[:-1]):
-            return _fail(f"closed flags wrong in class {cls}")
+        if _ladder_levels(lo_t, hi_t, analysis.depth, analysis.blocks) is None:
+            return _fail(f"blocks of class {cls} do not certify its {analysis.depth}-step ladder")
     return _ok()
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from test_decompose import SPLIT_COVER
 
-from otglab import LexFrame, graph_from_json, shift_graph
+from otglab import LexFrame, graph_from_json, lshift_digraph, shift_graph
+from otglab.cli import build_parser
+from otglab.suite import POOL_MIN_CASES
 
 RUN = [sys.executable, "-m", "otglab"]
 
@@ -212,6 +214,14 @@ def test_suite_pooled_byte_determinism():
         assert one.stdout == two.stdout and two.stderr == ""
 
 
+def test_workers_help_names_the_pool_threshold(capsys, monkeypatch):
+    # the CLI imports suite only when a suite runs, so its help spells the threshold out
+    monkeypatch.setenv("COLUMNS", "400")  # no option's help wraps
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["suite", "--help"])
+    assert f"a pool starts only for --count >= {POOL_MIN_CASES}" in capsys.readouterr().out
+
+
 def test_suite_sweep():
     res = run_cli("suite", "--seed", "7", "--count", "20", "--sweep")
     assert res.returncode == 0
@@ -312,6 +322,21 @@ def test_verify_coloring_document(tmp_path):
     doc["coloring"]["colors"] = [0] * len(witness)
     path.write_text(json.dumps(doc))
     assert run_cli("verify", str(path)).returncode == 1
+
+
+def test_a_digraph_is_refused_by_chi_and_verify(tmp_path):
+    g = lshift_digraph(2, 4)
+    graph = tmp_path / "digraph.json"
+    graph.write_text(json.dumps(g.to_json()))
+    coloring = tmp_path / "col.json"
+    coloring.write_text(json.dumps({"graph": g.to_json(), "coloring": {"palette": 1, "colors": [0] * g.n}}))
+    for args, message in (
+        (("chi", "--input", str(graph)), "chromatic number needs an undirected graph"),
+        (("verify", str(coloring)), "colorings verify against undirected graphs"),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
 
 
 def test_verify_unknown_document(tmp_path):

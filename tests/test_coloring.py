@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from otglab import (
     Coloring,
+    FiniteDigraph,
     FiniteGraph,
     chromatic_number,
     greedy_clique,
     greedy_coloring,
+    lshift_digraph,
     order_type_graph,
     otp,
     pattern_union_chromatic,
@@ -62,6 +64,14 @@ def test_coloring_refuses_non_integer_colors(colors, palette):
     # int() would truncate (0.9, 1.2) to (0, 1); a palette of 2.5 would be written to JSON that from_json refuses
     with pytest.raises(TypeError):
         Coloring(colors, palette)
+
+
+@pytest.mark.parametrize("g", [lshift_digraph(2, 4), FiniteDigraph([], [])], ids=["lsh", "empty"])
+def test_coloring_refuses_a_digraph(g):
+    with pytest.raises(ValueError, match=r"^chromatic number needs an undirected graph$"):
+        chromatic_number(g)
+    with pytest.raises(ValueError, match=r"^colorings verify against undirected graphs$"):
+        verify_coloring(g, Coloring((0,) * g.n, 1))
 
 
 def test_second_coordinate_parity_is_not_proper_on_shift():

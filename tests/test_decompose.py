@@ -15,6 +15,7 @@ from otglab import (
     ConvexClass,
     CoverPiece,
     CoverWitness,
+    DecompositionError,
     analyze_class,
     classes_separated,
     convex_closure,
@@ -25,7 +26,7 @@ from otglab import (
     sign_partition,
     verify_cover,
 )
-from otglab.decompose import generator_pairs, shift_levels
+from otglab.decompose import MINUS, PLUS, _ladder_levels, generator_pairs, plus_oriented, shift_levels
 from otglab.oracles import closure_oracle, exhaustive_min_k
 
 
@@ -138,6 +139,67 @@ def test_analyze_class_rejects_zero_sign():
     cls = ConvexClass(0, 0, "zero")
     with pytest.raises(ValueError):
         analyze_class((3,), (3,), cls)
+
+
+@pytest.mark.parametrize(
+    "a, b, cls, message",
+    [
+        # a plus interval of two closure classes: nothing between hops 1 and 2 reaches a[2]
+        ((1, 4, 9), (1, 7, 10), ConvexClass(1, 2, PLUS), r"^hops 1 and 2 are not linked by an index between them$"),
+        ((0, 1), (1, 2), ConvexClass(0, 5, PLUS), r"^class \[0,5\] is not an index interval of a pair of length 2$"),
+        ((0, 1), (1, 2), ConvexClass(-1, 0, PLUS), r"^class \[-1,0\] is not an index interval of a pair of length 2$"),
+        ((0, 1), (1, 2), ConvexClass(1, 0, MINUS), r"^class \[1,0\] is not an index interval of a pair of length 2$"),
+    ],
+)
+def test_analyze_class_refuses_a_bad_class(a, b, cls, message):
+    with pytest.raises(DecompositionError, match=message):
+        analyze_class(a, b, cls)
+
+
+def test_analyze_class_blocks_certify_every_interval_it_accepts():
+    # the blocks are a certificate by construction; this checks the claim from outside
+    rnd = random.Random(25)
+    outcomes = {"certified": 0, "refused": 0}
+    for _ in range(2_000):
+        n = rnd.randint(1, 8)
+        bound = rnd.randint(n, 3 * n + 3)
+        a, b = (tuple(sorted(rnd.sample(range(bound), n))) for _ in range(2))
+        for lo, hi in combinations(range(n + 1), 2):
+            for sign in (PLUS, MINUS):
+                lo_t, hi_t = plus_oriented(a, b, lo, hi - 1, sign == MINUS)
+                if not all(x < y for x, y in zip(lo_t, hi_t)):
+                    continue
+                try:
+                    an = analyze_class(a, b, ConvexClass(lo, hi - 1, sign))
+                except DecompositionError:
+                    outcomes["refused"] += 1
+                    continue
+                assert _ladder_levels(lo_t, hi_t, an.depth, an.blocks) is not None, (a, b, lo, hi, sign)
+                outcomes["certified"] += 1
+    assert outcomes["certified"] > 10_000 and outcomes["refused"] > 1_500, outcomes
+
+
+# a 2-step ladder with room between its values, and blocks that pass shift_levels
+# but break the count, tiling or closed-flag rule of the certificate
+LADDER_LO, LADDER_HI = (0, 1, 3), (2, 3, 6)
+LADDER = (Block(0, 2), Block(2, 4), Block(4, 6, closed=True))
+BROKEN_LADDERS = [
+    pytest.param(3, (Block(0, 2), Block(2, 4), Block(4, 7)), id="too-few-blocks"),
+    pytest.param(1, (Block(0, 2), Block(2, 4, closed=True), Block(4, 7)), id="too-many-blocks"),
+    pytest.param(2, (Block(0, 2), Block(2, 4), Block(5, 6, closed=True)), id="gap"),
+    pytest.param(2, (Block(0, 2), Block(2, 4, closed=True), Block(4, 6, closed=True)), id="closed-middle"),
+    pytest.param(2, (Block(0, 2), Block(2, 4), Block(4, 7)), id="open-top"),
+]
+
+
+def test_ladder_levels_accepts_a_certificate():
+    assert _ladder_levels(LADDER_LO, LADDER_HI, 2, LADDER) == [0, 0, 1]
+
+
+@pytest.mark.parametrize("k, blocks", BROKEN_LADDERS)
+def test_ladder_levels_refuses_a_broken_rule(k, blocks):
+    assert shift_levels(LADDER_LO, LADDER_HI, blocks) == [0, 0, 1]
+    assert _ladder_levels(LADDER_LO, LADDER_HI, k, blocks) is None
 
 
 def test_block_shift_property_on_examples():

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from test_acceptance import check_level_maps_pattern
+from test_decompose import BROKEN_LADDERS, LADDER, LADDER_HI, LADDER_LO
 from test_golden import dense_pairs, embedding_corpus
 
 from otglab import (
@@ -99,6 +100,19 @@ def test_level_maps_reject_bad_blocks():
     an = class_blocks((0, 1), (1, 2))
     with pytest.raises((EmbeddingError, ValueError)):
         build_level_maps((0, 1), (1, 2), 1, an.blocks[:2])
+
+
+def test_lemma_embedding_with_room_between_the_values():
+    assert verify_embedding(lemma_embedding(LADDER_LO, LADDER_HI, 2, LADDER, 3))
+
+
+@pytest.mark.parametrize("k, blocks", BROKEN_LADDERS)
+def test_level_maps_and_lemma_embedding_refuse_a_broken_certificate(k, blocks):
+    message = f"^blocks do not certify a {k}-step ladder$"
+    with pytest.raises(EmbeddingError, match=message):
+        build_level_maps(LADDER_LO, LADDER_HI, k, blocks)
+    with pytest.raises(EmbeddingError, match=message):
+        lemma_embedding(LADDER_LO, LADDER_HI, k, blocks, k + 1)
 
 
 def test_lemma_embedding_worked_example():

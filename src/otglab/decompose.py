@@ -78,11 +78,13 @@ def generator_pairs(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int]]
 
 
 class ConvexClass(_Record):
-    """Maximal run of related indices [lo, hi], all of one sign."""
+    """Maximal run of related indices [lo, hi], all of one sign: integer bounds and a sign zero, plus or minus."""
 
     __slots__ = ("lo", "hi", "sign")
 
     def __init__(self, lo: int, hi: int, sign: str) -> None:
+        if sign not in (ZERO, PLUS, MINUS) or type(lo) is not int or type(hi) is not int:
+            raise DecompositionError(f"a class needs int bounds and a sign zero, plus or minus, got {(lo, hi, sign)!r}")
         _setattr(self, "lo", lo)
         _setattr(self, "hi", hi)
         _setattr(self, "sign", sign)
@@ -100,8 +102,14 @@ def convex_closure(a: Sequence[int], b: Sequence[int]) -> list[ConvexClass]:
 
     Each generator pair forces its whole index interval into one class;
     overlapping intervals merge. Indices touched by no generator stay
-    singletons. Every class comes out sign-pure, and zero classes are
-    singletons.
+    singletons. Every class is sign-pure and a zero class is a singleton, so
+    a class has the sign of its first index: merged intervals share indices,
+    and each generator interval is all plus or all minus. If
+    a_beta < a_gamma <= b_beta, then beta < gamma, and each i from beta to
+    gamma has a_i <= a_gamma <= b_beta <= b_i, the first strict for i < gamma
+    and the last for i = gamma: plus. b_beta < b_gamma <= a_beta is the
+    mirror. If a_beta = b_gamma, then a_i <= a_beta = b_gamma <= b_i likewise
+    when gamma < beta (plus), and the reverse when beta < gamma (minus).
     """
     _check_pair(a, b)
     if tuple(a) == tuple(b):
@@ -120,13 +128,7 @@ def convex_closure(a: Sequence[int], b: Sequence[int]) -> list[ConvexClass]:
         while pos < lo:
             classes.append(ConvexClass(pos, pos, signs.sign_of(pos)))
             pos += 1
-        cls_signs = {signs.sign_of(i) for i in range(lo, hi + 1)}
-        if len(cls_signs) != 1:
-            raise DecompositionError(f"class [{lo},{hi}] mixes signs {sorted(cls_signs)}")
-        sign = cls_signs.pop()
-        if sign == ZERO and lo != hi:
-            raise DecompositionError(f"zero class [{lo},{hi}] is not a singleton")
-        classes.append(ConvexClass(lo, hi, sign))
+        classes.append(ConvexClass(lo, hi, signs.sign_of(lo)))
         pos = hi + 1
     while pos < n:
         classes.append(ConvexClass(pos, pos, signs.sign_of(pos)))
@@ -244,12 +246,19 @@ def analyze_class(a: Sequence[int], b: Sequence[int], cls: ConvexClass) -> Class
     The blocks certify the ladder by construction. With delta_m the last hop
     at or below index i, a[i] lies in block m, since no a before the next
     hop reaches b[delta_m], and b[i] lies in block m + 1, since b increases.
-    Each chain link is picked among indices whose a is at most b at the link
-    before, so only the chain's spacing needs a check.
+    The witness chain needs no check either. Call a ladder index (a hop, or
+    the gamma_m linking hop m to m + 1) in reach of p when it comes after p
+    with a at most b[p]; each link is the last one in reach of the link
+    before. By induction zeta_m <= delta_m, as an a at most
+    b[zeta_m] <= b[delta_m] <= a[delta_{m+1}] sits no later than
+    delta_{m+1}. Before the last hop, each ladder index has one in reach
+    (gamma_m from delta_m, delta_{m+1} from a gamma_m before it), so the
+    chain reaches full depth. It is spaced, b[zeta_m] < a[zeta_{m+2}], or
+    zeta_{m+2} would have been in reach of zeta_m, later than zeta_{m+1}.
 
     A zero class, an interval outside the pair or of the wrong sign, and an
-    interval that is no closure class whose hops are unlinked or whose chain
-    breaks raise DecompositionError.
+    interval that is no closure class whose hops are unlinked raise
+    DecompositionError.
     """
     _check_pair(a, b)
     if cls.sign == ZERO:
@@ -285,13 +294,7 @@ def analyze_class(a: Sequence[int], b: Sequence[int], cls: ConvexClass) -> Class
     zetas = [deltas[0]]
     while len(zetas) < depth:
         prev = zetas[-1]
-        cand = [i for i in ladder if a[prev] < a[i] <= b[prev]]
-        if not cand:
-            raise DecompositionError("witness chain broke before reaching full depth")
-        zetas.append(max(cand))
-    for m in range(depth - 2):
-        if not b[zetas[m]] < a[zetas[m + 2]]:
-            raise DecompositionError("witness chain spacing violated")
+        zetas.append(max(i for i in ladder if a[prev] < a[i] <= b[prev]))
 
     return ClassAnalysis(cls, tuple(deltas), tuple(blocks), tuple(zetas))
 
@@ -502,14 +505,21 @@ def verify_cover(a: Sequence[int], b: Sequence[int], w: CoverWitness) -> bool:
 
 
 def decomposition_report(a: Sequence[int], b: Sequence[int]) -> dict:
-    """Full JSON-ready analysis of a pair: signs, classes, ladders, cover."""
+    """Full JSON-ready analysis of a pair: signs, classes, ladders, cover.
+
+    The cover verifies by construction: its pieces are the closure classes
+    in order, zero ones singletons, the others with blocks that certify them
+    (analyze_class), and k is the floored maximum depth. Neighbouring classes
+    are value-separated: for hi the last index of one and lo = hi + 1 the
+    first of the next, a[hi] >= b[lo] or b[hi] >= a[lo] would make (hi, lo) a
+    generator pair (b[hi] < b[lo] <= a[hi] or a[hi] < a[lo] <= b[hi]), which
+    would have merged the two.
+    """
     _check_pair(a, b)
     signs = sign_partition(a, b)
     classes = convex_closure(a, b)
     analyses = [analyze_class(a, b, cls) for cls in classes if cls.sign != ZERO]
     cover = _cover(classes, analyses)
-    if not verify_cover(a, b, cover):
-        raise DecompositionError("internal cover failed verification")
     return {
         "a": list(a),
         "b": list(b),

@@ -62,13 +62,29 @@ def build_level_maps(
     The top level gets single live digits; each lower level threads under the
     next one via the least index whose low value clears the given high value,
     sharing digits on exact contact and slotting below the predecessor
-    otherwise. The result is checked: levels strictly increase below their
-    fence, and comparisons across adjacent levels reproduce the comparisons of
-    the corresponding tuple values. The blocks must certify the pair's
-    k-step ladder (decompose._ladder_levels).
+    otherwise. Both tuples must strictly increase, and the blocks must
+    certify the pair's k-step ladder (decompose._ladder_levels).
+
+    The result needs no check: the tuples mirror value order, by induction
+    down the levels. Level i's tuples are nonzero and zero from position
+    w = k - i on; in index order they strictly increase, and all lie below
+    the fence, top in its first w positions. Level k - 1 starts so. Take
+    beta at level i - 1, the first p indices of level i, whose a lies below
+    b[beta], and gamma, the next. On contact (a[gamma] = b[beta]) beta
+    copies gamma's tuple. Otherwise its first w digits are the predecessor
+    of gamma's (the fence's own if there is no gamma), then comes
+    2*beta + 1: its tuple lies below gamma's and above those of the first p,
+    whose first w digits are no larger and are followed by 0. So a at level
+    i and b[beta] compare as their tuples do. Along level i - 1, b and so p
+    increase. Where p grows, the earlier index's gamma lies between the two
+    tuples; with one p, only the later can be a contact, and if neither is,
+    they differ only in 2*beta + 1. All lie below the next fence, as
+    2*beta + 1 < top.
     """
     if len(a) != len(b) or not a:
         raise EmbeddingError("need two nonempty tuples of equal length")
+    if not (all(map(lt, a, a[1:])) and all(map(lt, b, b[1:]))):
+        raise EmbeddingError("tuples must be strictly increasing")
     levels = _ladder_levels(a, b, k, blocks)
     if levels is None:
         raise EmbeddingError(f"blocks do not certify a {k}-step ladder")
@@ -92,24 +108,6 @@ def build_level_maps(
                 prefix = fences[i][:width] if gamma is None else _pred(digits[gamma][:width], top)
                 digits[beta] = prefix + (2 * beta + 1,) + zeros[: k - width - 1]
         fences[i - 1] = fences[i][:width] + (top,) + zeros[: k - width - 1]
-
-    for i in range(k):
-        chain = [digits[beta] for beta in sets[i]] + [fences[i]]
-        for x, y in zip(chain, chain[1:]):
-            if not x < y:
-                raise EmbeddingError(f"level {i} digits not strictly increasing: {x} !< {y}")
-    for i in range(1, k):
-        for b1 in sets[i]:
-            for b2 in sets[i - 1]:
-                left, right = a[b1], b[b2]
-                lo, hi = digits[b1], digits[b2]
-                same = (left == right) == (lo == hi)
-                order = (left < right) == (lo < hi)
-                if not (same and order):
-                    raise EmbeddingError(
-                        f"cross-level mismatch at i={i}, indices ({b1},{b2}): "
-                        f"values ({left},{right}) vs digits ({lo},{hi})"
-                    )
     return LevelMaps(k, tuple(levels), tuple(digits))
 
 

@@ -15,38 +15,14 @@ def _label_json(label):
 
 
 def _json_vertices(labels) -> list:
-    """The vertex labels of a graph document, list labels as tuples.
+    """The vertex labels of a graph document, provided they are a JSON array; list labels become tuples.
 
-    They must be a JSON array of labels, each a JSON integer or a JSON array
-    of JSON integers; the graph constructor refuses a repeated label. As in
-    _json_pairs, one C-level pass makes the check, and a loop runs only to
-    name the first bad label.
+    The graph constructor checks each label.
     """
-    vertices = [tuple(v) if isinstance(v, list) else v for v in json_array(labels, "graph vertices")]
-    if not (
-        set(map(type, vertices)) <= {int, tuple}
-        and set(map(type, chain.from_iterable(filter(tuple.__instancecheck__, vertices)))) <= {int}
-    ):
-        for v in vertices:
-            if not (type(v) is int or type(v) is tuple and all(type(x) is int for x in v)):
-                label = _label_json(v)
-                raise ValueError(f"each vertex label must be a JSON integer or a JSON array of them, got {label!r}")
-    return vertices
-
-
-def _json_pairs(pairs, what: str) -> list:
-    """The pairs of a graph document, provided they are a JSON array of two-entry arrays.
-
-    One C-level pass each checks the entries' types and their lengths; a loop
-    runs only to name the first bad entry. The graph constructor checks that
-    the endpoints are integers.
-    """
-    json_array(pairs, f"graph {what}s")
-    if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
-        for p in pairs:
-            if not isinstance(p, (list, tuple)) or len(p) != 2:
-                raise ValueError(f"each {what} must be a JSON array of two endpoints, got {p!r}")
-    return pairs
+    labels = json_array(labels, "graph vertices")
+    if set(map(type, labels)) == {list}:
+        return list(map(tuple, labels))
+    return [tuple(v) if isinstance(v, list) else v for v in labels]
 
 
 def _label_dot(label) -> str:
@@ -67,15 +43,28 @@ class _Graph:
     def __init__(self, vertices: Sequence, pairs: Iterable[tuple[int, int]]):
         self.vertices = list(vertices)
         n = len(self.vertices)
-        # One C-level pass accepts distinct labels; the loop runs only to name the first repeat.
+        # Each check is one C-level pass; a loop runs only to name the first fault, in the reader's words.
+        # Label types are checked before the labels go into a set, which needs them hashable.
+        if not (
+            set(map(type, self.vertices)) <= {int, tuple}
+            and set(map(type, chain.from_iterable(filter(tuple.__instancecheck__, self.vertices)))) <= {int}
+        ):
+            for v in self.vertices:
+                if not (type(v) is int or type(v) is tuple and all(type(x) is int for x in v)):
+                    raise ValueError(
+                        f"each vertex label must be a JSON integer or a JSON array of them, got {_label_json(v)!r}"
+                    )
+        pairs = list(pairs)
+        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
+            for p in pairs:
+                if not isinstance(p, (list, tuple)) or len(p) != 2:
+                    raise ValueError(f"each {self._pair} must be a JSON array of two endpoints, got {p!r}")
         if len(set(self.vertices)) != n:
             seen = set()
             for v in self.vertices:
                 if v in seen:
                     raise ValueError(f"vertex label {_label_json(v)!r} is listed twice")
                 seen.add(v)
-        pairs = list(pairs)
-        # Likewise one C-level pass accepts integer endpoints; json_ints runs only to name the first other one.
         if not set(map(type, chain.from_iterable(pairs))) <= {int}:
             json_ints(tuple(chain.from_iterable(pairs)), self._pair + " endpoints")
         norm = []
@@ -123,7 +112,8 @@ class _Graph:
     @classmethod
     def from_json(cls, data: dict) -> "_Graph":
         vertices, pairs = json_fields(data, cls._dot, "vertices", cls._pair + "s")
-        return cls(_json_vertices(vertices), _json_pairs(pairs, cls._pair))
+        # the map defers the array check until the constructor lists the pairs, after it checks the labels
+        return cls(_json_vertices(vertices), chain.from_iterable(map(json_array, [pairs], [f"graph {cls._pair}s"])))
 
     def to_dot(self) -> str:
         lines = [self._dot + " G {"]

@@ -27,6 +27,7 @@ from otglab import (
     verify_cover,
 )
 from otglab.decompose import MINUS, PLUS, _ladder_levels, generator_pairs, plus_oriented, shift_levels
+from otglab.embedding import build_level_maps
 from otglab.oracles import closure_oracle, exhaustive_min_k
 
 
@@ -156,6 +157,17 @@ def test_analyze_class_refuses_a_bad_class(a, b, cls, message):
         analyze_class(a, b, cls)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, sign", [(0, 1, "foo"), (0, 1, None), (0.0, 1, PLUS), (0, 1.5, MINUS), (True, 1, PLUS), (0, "1", "zero")]
+)
+def test_convex_class_refuses_a_bad_sign_or_bound(lo, hi, sign):
+    # unchecked, analyze_class((0, 1), (1, 2), ConvexClass(0, 1, "foo")) analysed the class as plus
+    message = "a class needs int bounds and a sign zero, plus or minus, got " + repr((lo, hi, sign))
+    with pytest.raises(DecompositionError) as info:
+        ConvexClass(lo, hi, sign)
+    assert str(info.value) == message
+
+
 def test_analyze_class_blocks_certify_every_interval_it_accepts():
     # the blocks are a certificate by construction; this checks the claim from outside
     rnd = random.Random(25)
@@ -177,6 +189,74 @@ def test_analyze_class_blocks_certify_every_interval_it_accepts():
                 assert _ladder_levels(lo_t, hi_t, an.depth, an.blocks) is not None, (a, b, lo, hi, sign)
                 outcomes["certified"] += 1
     assert outcomes["certified"] > 10_000 and outcomes["refused"] > 1_500, outcomes
+
+
+def _proved_invariants_corpus() -> list:
+    """Every pair of length <= 4 over 0..6, then 24 seeded pairs per length L in 2..16, values below L + L // 2."""
+    pairs = []
+    for n in range(1, 5):
+        tuples = list(combinations(range(7), n))
+        pairs += [(a, b) for a in tuples for b in tuples if a != b]
+    rnd = random.Random(26)
+    for n in range(2, 17):
+        for _ in range(24):
+            a, b = (tuple(sorted(rnd.sample(range(n + n // 2), n))) for _ in range(2))
+            if a != b:
+                pairs.append((a, b))
+    return pairs
+
+
+def _check_level_maps(lo_t, hi_t, k, blocks):
+    """The two facts build_level_maps proves: each level's tuples increase below its fence, and cross levels agree."""
+    maps = build_level_maps(lo_t, hi_t, k, blocks)
+    top = 2 * len(lo_t)
+    at = [[beta for beta, lv in enumerate(maps.levels) if lv == i] for i in range(k)]
+    for i in range(k):
+        run = [maps.digits[beta] for beta in at[i]] + [(top,) * (k - i) + (0,) * i]
+        assert all(x < y for x, y in zip(run, run[1:])), (lo_t, hi_t, blocks, i)
+    for i in range(1, k):
+        for b1 in at[i]:
+            for b2 in at[i - 1]:
+                left, right, x, y = lo_t[b1], hi_t[b2], maps.digits[b1], maps.digits[b2]
+                assert (left < right, left == right) == (x < y, x == y), (lo_t, hi_t, blocks, b1, b2)
+
+
+def test_proved_invariants_hold_on_a_corpus():
+    # convex_closure, analyze_class, build_level_maps and decomposition_report prove these in their
+    # docstrings and no longer check them at run time; this replays each conclusion from outside
+    seen = {"classes": 0, "chains and level maps": 0, "padded level maps": 0}
+    for a, b in _proved_invariants_corpus():
+        classes = convex_closure(a, b)
+        assert classes == closure_oracle(a, b)
+        for cls in classes:
+            signs = {(x > y) - (x < y) for x, y in zip(a[cls.lo : cls.hi + 1], b[cls.lo : cls.hi + 1])}
+            assert len(signs) == 1 and (cls.sign != "zero" or cls.lo == cls.hi), (a, b, cls)
+            seen["classes"] += 1
+        intervals = [(lo, hi - 1) for lo, hi in combinations(range(len(a) + 1), 2)] if len(a) <= 4 else []
+        intervals += [(cls.lo, cls.hi) for cls in classes if cls.sign != "zero"]
+        for lo, hi in intervals:
+            for sign in (PLUS, MINUS):
+                lo_t, hi_t = plus_oriented(a, b, lo, hi, sign == MINUS)
+                if not all(x < y for x, y in zip(lo_t, hi_t)):
+                    continue
+                try:
+                    an = analyze_class(a, b, ConvexClass(lo, hi, sign))
+                except DecompositionError:
+                    continue  # hops not linked: no closure class, so nothing was proved
+                z = [i - lo for i in an.zetas]
+                assert len(z) == an.depth and z[0] == 0, (a, b, lo, hi, sign)
+                assert all(lo_t[p] < lo_t[q] <= hi_t[p] for p, q in zip(z, z[1:])), (a, b, lo, hi, sign)
+                assert all(hi_t[p] < lo_t[q] for p, q in zip(z, z[2:])), (a, b, lo, hi, sign)
+                _check_level_maps(lo_t, hi_t, an.depth, an.blocks)
+                seen["chains and level maps"] += 1
+        if all(cls.sign == PLUS for cls in classes):
+            depth = sum(analyze_class(a, b, cls).depth for cls in classes)
+            for k in (depth, depth + 1, depth + 2):
+                _check_level_maps(a, b, k, is_k_orderly(a, b, k))
+                seen["padded level maps"] += 1
+        report = decomposition_report(a, b)
+        assert verify_cover(a, b, CoverWitness.from_json(report["cover"])), (a, b)
+    assert min(seen.values()) > 500, seen
 
 
 # a 2-step ladder with room between its values, and blocks that pass shift_levels

@@ -27,7 +27,7 @@ from otglab import (
     shift_graph,
     verify_embedding,
 )
-from otglab.decompose import plus_oriented
+from otglab.decompose import _ladder_levels, plus_oriented
 from otglab.embedding import _pred
 from otglab.oracles import embedding_oracle
 
@@ -113,6 +113,25 @@ def test_level_maps_and_lemma_embedding_refuse_a_broken_certificate(k, blocks):
         build_level_maps(LADDER_LO, LADDER_HI, k, blocks)
     with pytest.raises(EmbeddingError, match=message):
         lemma_embedding(LADDER_LO, LADDER_HI, k, blocks, k + 1)
+
+
+# pairs that do not increase, with blocks that _ladder_levels accepts: unrefused,
+# they gave level maps out of order (rows 1 and 4) or off the values (rows 2 and 3)
+UNSORTED_LADDERS = [
+    ((0, 2, 8), (8, 7, 9), 2, (Block(0, 3), Block(3, 9), Block(9, 11, closed=True))),
+    ((7, 5, 7), (12, 7, 11), 2, (Block(2, 7), Block(7, 8), Block(8, 13, closed=True))),
+    ((6, 8, 8), (8, 9, 10), 3, (Block(0, 1), Block(1, 7), Block(7, 9), Block(9, 13, closed=True))),
+    ((5, 5, 9), (11, 9, 12), 3, (Block(3, 4), Block(4, 7), Block(7, 12), Block(12, 13, closed=True))),
+]
+
+
+@pytest.mark.parametrize("a, b, k, blocks", UNSORTED_LADDERS)
+def test_level_maps_and_lemma_embedding_refuse_a_pair_that_does_not_increase(a, b, k, blocks):
+    assert _ladder_levels(a, b, k, blocks) is not None
+    with pytest.raises(EmbeddingError, match="^tuples must be strictly increasing$"):
+        build_level_maps(a, b, k, blocks)
+    with pytest.raises(EmbeddingError, match="^tuples must be strictly increasing$"):
+        lemma_embedding(a, b, k, blocks, k + 1)
 
 
 def test_lemma_embedding_worked_example():

@@ -418,8 +418,10 @@ def test_constructor_refuses_a_repeated_label(make, vertices, pairs, label):
     with pytest.raises(ValueError) as info:
         make(vertices, pairs)
     assert str(info.value) == f"vertex label {label!r} is listed twice"
-    with pytest.raises(TypeError):
-        make([[0], [1]], [])  # labels must be hashable
+    # a list is no label in process (a JSON array label reads as a tuple), and is refused before any set is built
+    with pytest.raises(ValueError) as info:
+        make([[0], [1]], [])
+    assert str(info.value) == "each vertex label must be a JSON integer or a JSON array of them, got [0]"
 
 
 @pytest.mark.parametrize("make, what", [(FiniteGraph, "edge"), (FiniteDigraph, "arc")])
@@ -430,6 +432,27 @@ def test_constructor_takes_only_integer_endpoints(make, what, endpoint):
         with pytest.raises(ValueError) as info:
             make([0, 1, 2], pairs)
         assert str(info.value) == f"{what} endpoints must be JSON integers, got {endpoint!r}"
+
+
+@pytest.mark.parametrize("make", [FiniteGraph, FiniteDigraph])
+@pytest.mark.parametrize("label", ["a", 1.5, True, None, {}, [0], (0, True), (0, 1.0), (0, (1,))])
+def test_constructor_takes_only_integer_labels_or_tuples_of_them(make, label):
+    # the reader's rule and text, so that no graph writes a document its own reader refuses
+    for vertices in ([0, label], [label, (0, 1)]):
+        with pytest.raises(ValueError) as info:
+            make(vertices, [])
+        shown = list(label) if isinstance(label, tuple) else label
+        assert str(info.value) == f"each vertex label must be a JSON integer or a JSON array of them, got {shown!r}"
+
+
+@pytest.mark.parametrize("make, what", [(FiniteGraph, "edge"), (FiniteDigraph, "arc")])
+@pytest.mark.parametrize("pair", [(0, 1, 2), (0,), (), 5, "01", {0: 1}])
+def test_constructor_takes_only_pairs_of_two_endpoints(make, what, pair):
+    # unchecked, (0, 1, 2) raised "too many values to unpack" from the pair loop
+    for pairs in ([pair], [(0, 1), pair], iter([(1, 2), pair])):
+        with pytest.raises(ValueError) as info:
+            make([0, 1, 2], pairs)
+        assert str(info.value) == f"each {what} must be a JSON array of two endpoints, got {pair!r}"
 
 
 def test_labels_in_any_order_round_trip():

@@ -129,7 +129,8 @@ def test_equal_only_within_one_class(name):
 
 
 def test_equal_fields_in_another_class_are_not_equal():
-    assert Block(0, 3, False) != ConvexClass(0, 3, False)
+    # a Block does not check its flag, and a ConvexClass refuses any sign but zero, plus or minus
+    assert Block(0, 3, PLUS) != ConvexClass(0, 3, PLUS)
     assert Block(0, 3) != Block(0, 3, True)
 
 

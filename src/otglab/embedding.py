@@ -7,7 +7,7 @@ from math import comb, prod
 from operator import itemgetter, lt
 from typing import Callable, Sequence
 
-from .decompose import Block, CoverWitness, _ladder_levels, plus_oriented, verify_cover
+from .decompose import Block, CoverWitness, DecompositionError, _check_pair, _ladder_levels, plus_oriented, verify_cover
 from .graphs import FiniteDigraph, FiniteGraph, lshift_digraph, shift_graph
 from .seqs import (
     IncreasingTuple,
@@ -81,10 +81,10 @@ def build_level_maps(
     they differ only in 2*beta + 1. All lie below the next fence, as
     2*beta + 1 < top.
     """
-    if len(a) != len(b) or not a:
-        raise EmbeddingError("need two nonempty tuples of equal length")
-    if not (all(map(lt, a, a[1:])) and all(map(lt, b, b[1:]))):
-        raise EmbeddingError("tuples must be strictly increasing")
+    try:
+        _check_pair(a, b)
+    except DecompositionError as e:
+        raise EmbeddingError(str(e)) from None
     levels = _ladder_levels(a, b, k, blocks)
     if levels is None:
         raise EmbeddingError(f"blocks do not certify a {k}-step ladder")

@@ -19,10 +19,7 @@ def _json_vertices(labels) -> list:
 
     The graph constructor checks each label.
     """
-    labels = json_array(labels, "graph vertices")
-    if set(map(type, labels)) == {list}:
-        return list(map(tuple, labels))
-    return [tuple(v) if isinstance(v, list) else v for v in labels]
+    return [tuple(v) if isinstance(v, list) else v for v in json_array(labels, "graph vertices")]
 
 
 def _label_dot(label) -> str:
@@ -112,8 +109,7 @@ class _Graph:
     @classmethod
     def from_json(cls, data: dict) -> "_Graph":
         vertices, pairs = json_fields(data, cls._dot, "vertices", cls._pair + "s")
-        # the map defers the array check until the constructor lists the pairs, after it checks the labels
-        return cls(_json_vertices(vertices), chain.from_iterable(map(json_array, [pairs], [f"graph {cls._pair}s"])))
+        return cls(_json_vertices(vertices), json_array(pairs, f"graph {cls._pair}s"))
 
     def to_dot(self) -> str:
         lines = [self._dot + " G {"]
